@@ -16,6 +16,13 @@ echo "=== tests ==="
 # --timeout: a wedged test (e.g. a supervision bug leaving a worker
 # hanging) must fail the suite, not stall it forever.
 ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300
+echo "=== file-touching suites, shuffled and repeated (flake hunt) ==="
+# Every TEST runs as its own process, so tests that write files must not
+# share a path (tests/scratch_path.h).  Random order and 20 repeats under -j
+# make a shared path show up as a failure instead of a rare flake.
+ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300 \
+  --schedule-random --repeat until-fail:20 \
+  -R '^(StatsTool|TraceCli|Events|Campaign|CheckpointStore|Telemetry|SnapshotDir|CompiledCache|TraceCampaign)\.'
 echo "=== benches (--quick smoke run, failures are fatal) ==="
 for b in build/bench/*; do
   echo "--- $b --quick"
@@ -72,6 +79,11 @@ build/bench/bench_diameter --quick \
 test -s "$obs_dir/BENCH_diameter.json"
 build/tools/dynet_cli --protocol diam_exact --adversary ach_gadget \
   --nodes 36 --gadget-intersect --max-rounds 200 --seed 3
+
+echo "=== perfbench correctness smoke (records vs perfbench/reference) ==="
+# Exits non-zero when any simulated record differs from the committed
+# reference or a protocol check fails; the timings are not gated here.
+python3 perfbench/run.py --workload all --seconds 3
 
 echo "=== campaign kill-and-resume smoke ==="
 scripts/campaign_smoke.sh build/tools/dynet_cli

@@ -38,6 +38,56 @@ class UnionFind {
   std::vector<NodeId> parent_;
 };
 
+/// Number of connected components of the subgraph on the nodes v with
+/// keep(v) (`kept` of them), using only edges with both endpoints kept.
+///
+/// First tries to prove connectivity by marking: mark one endpoint of the
+/// first usable edge, then walk the edge list, marking an endpoint exactly
+/// when the other one is already marked (grow = seen[a] ^ seen[b]).  Every
+/// node is marked through an edge to a marked node, so by induction the
+/// marked set is always connected; reaching `kept` marked nodes proves the
+/// subgraph connected.  Edge lists emitted in attach order (trees grown
+/// leaf by leaf, paths, stars) finish in one pass; lexicographically sorted
+/// lists (gnp) need a second pass for the nodes whose marked neighbours
+/// were marked later in the list.  Marking both endpoints unconditionally
+/// would be unsound ({(0,1),(2,3)} would look connected).  When
+/// kProofPasses passes fall short, union-find gives the exact count.
+constexpr int kProofPasses = 2;
+
+template <typename Keep>
+int countComponents(NodeId n, std::span<const Edge> edges, NodeId kept,
+                    Keep keep) {
+  const auto usable = [&keep](const Edge& e) { return keep(e.a) & keep(e.b); };
+  const auto first = std::find_if(edges.begin(), edges.end(), usable);
+  if (first == edges.end()) {
+    return kept;
+  }
+  std::vector<std::uint8_t> seen(static_cast<std::size_t>(n), 0);
+  seen[static_cast<std::size_t>(first->a)] = 1;
+  NodeId marked = 1;
+  for (int pass = 0; pass < kProofPasses && marked < kept; ++pass) {
+    for (const Edge& e : edges) {
+      std::uint8_t& sa = seen[static_cast<std::size_t>(e.a)];
+      std::uint8_t& sb = seen[static_cast<std::size_t>(e.b)];
+      const auto grow = static_cast<std::uint8_t>(usable(e) & (sa ^ sb));
+      sa |= grow;
+      sb |= grow;
+      marked += grow;
+    }
+  }
+  if (marked == kept) {
+    return 1;
+  }
+  UnionFind uf(n);
+  int components = kept;
+  for (const Edge& e : edges) {
+    if (usable(e) && uf.unite(e.a, e.b)) {
+      --components;
+    }
+  }
+  return components;
+}
+
 }  // namespace
 
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges)
@@ -59,18 +109,28 @@ void Graph::buildAdjacency() const {
   for (std::size_t i = 1; i < adj_offsets_.size(); ++i) {
     adj_offsets_[i] += adj_offsets_[i - 1];
   }
-  adj_list_.resize(edges_.size() * 2);
-  std::vector<std::int32_t> cursor(adj_offsets_.begin(), adj_offsets_.end() - 1);
+  // Two stable counting-sort passes over the 2m arcs give every node its
+  // neighbors in canonical ascending order (delivery walks neighbors() as a
+  // ready-sorted sender list, and applyDelta() patches lists by merge).
+  // Pass 1 buckets the arcs by target (arc {a, b} is stored as {source,
+  // target}); pass 2 scatters them by source in one flat loop, so each
+  // source's list fills in ascending target order.  Both passes share the
+  // degree offsets: a node's in- and out-degree are equal.  The arc buffer
+  // (2m x 8 bytes) is thread_local because a fresh allocation per build
+  // nearly doubled the build on dense graphs (gnp, n=1024, 11.6k edges:
+  // 288 vs 152 us).
+  std::vector<std::int32_t> cursor(adj_offsets_.begin(),
+                                   adj_offsets_.end() - 1);
+  thread_local std::vector<Edge> by_target;
+  by_target.resize(edges_.size() * 2);
   for (const Edge& e : edges_) {
-    adj_list_[static_cast<std::size_t>(cursor[e.a]++)] = e.b;
-    adj_list_[static_cast<std::size_t>(cursor[e.b]++)] = e.a;
+    by_target[static_cast<std::size_t>(cursor[e.b]++)] = {e.a, e.b};
+    by_target[static_cast<std::size_t>(cursor[e.a]++)] = {e.b, e.a};
   }
-  // Canonical ascending order per node: delivery walks neighbors() as a
-  // ready-sorted sender list, and applyDelta() patches lists by merge.
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    std::sort(adj_list_.begin() + adj_offsets_[static_cast<std::size_t>(v)],
-              adj_list_.begin() +
-                  adj_offsets_[static_cast<std::size_t>(v) + 1]);
+  std::copy(adj_offsets_.begin(), adj_offsets_.end() - 1, cursor.begin());
+  adj_list_.resize(by_target.size());
+  for (const Edge& arc : by_target) {
+    adj_list_[static_cast<std::size_t>(cursor[arc.a]++)] = arc.b;
   }
 }
 
@@ -83,14 +143,8 @@ std::span<const NodeId> Graph::neighbors(NodeId v) const {
 }
 
 void Graph::computeComponents() const {
-  UnionFind uf(num_nodes_);
-  int components = num_nodes_;
-  for (const Edge& e : edges_) {
-    if (uf.unite(e.a, e.b)) {
-      --components;
-    }
-  }
-  component_count_ = components;
+  component_count_ = countComponents(num_nodes_, edges_, num_nodes_,
+                                     [](NodeId) { return true; });
 }
 
 bool Graph::connected() const {
@@ -258,7 +312,6 @@ bool connectedOn(const Graph& g, std::span<const char> alive) {
   const NodeId n = g.numNodes();
   DYNET_CHECK(static_cast<std::size_t>(n) == alive.size())
       << "alive mask size " << alive.size() << " != " << n << " nodes";
-  UnionFind uf(n);
   NodeId live = 0;
   for (NodeId v = 0; v < n; ++v) {
     if (alive[static_cast<std::size_t>(v)] != 0) {
@@ -268,14 +321,9 @@ bool connectedOn(const Graph& g, std::span<const char> alive) {
   if (live <= 1) {
     return true;
   }
-  NodeId components = live;
-  for (const Edge& e : g.edges()) {
-    if (alive[static_cast<std::size_t>(e.a)] != 0 &&
-        alive[static_cast<std::size_t>(e.b)] != 0 && uf.unite(e.a, e.b)) {
-      --components;
-    }
-  }
-  return components == 1;
+  return countComponents(n, g.edges(), live, [alive](NodeId v) {
+           return alive[static_cast<std::size_t>(v)] != 0;
+         }) == 1;
 }
 
 GraphPtr makePath(NodeId n) {

@@ -8,6 +8,20 @@
 // adversaries whose topology changes a few edges per round
 // (docs/ARCHITECTURE.md, "Incremental topology cache").
 //
+// Full-rebuild adversaries build a fresh Graph every round, so both builders
+// are linear and sort-free.  The CSR is two stable counting-sort passes over
+// the 2m arcs: bucket by target, then scatter by source in one flat loop,
+// which leaves every neighbors(v) list ascending.  Connectivity first tries a
+// marking proof: mark one endpoint of the first edge, then walk the edge
+// list, marking an endpoint only when the other one is already marked.  Each
+// newly marked node is adjacent to a marked one, so the marked set stays
+// connected; n marked nodes prove the graph connected.  Edge lists in attach
+// order (trees grown leaf by leaf, paths, stars) finish in one pass, sorted
+// lists (gnp) in two; if two passes fall short, union-find gives the exact
+// component count.  connectedOn() runs the same routine over the live
+// nodes' edges.  Nothing trusts the generator: the proof is a check of the
+// edges actually listed.
+//
 // Thread-safety: the lazy caches are built under std::call_once, so a
 // GraphPtr may be shared freely across threads (Monte Carlo trial workers,
 // the parallel diameter solver) even when several of them race on the first
@@ -17,7 +31,9 @@
 // engine warms every adversary-returned topology (sim/phase.h,
 // AdversaryPhase) and the static adversaries warm at construction, so by
 // the time a graph is visible to more than one thread it is typically
-// already fully immutable.
+// already fully immutable.  The only scratch shared between builds is the
+// CSR builder's thread_local arc buffer, so concurrent builds on different
+// threads never share it.
 #pragma once
 
 #include <atomic>

@@ -37,6 +37,7 @@
 #include "sim/engine.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "scratch_path.h"
 
 namespace dynet::dataset {
 namespace {
@@ -44,7 +45,7 @@ namespace {
 namespace fs = std::filesystem;
 
 std::string freshDir(const std::string& name) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = testutil::scratchPath(name);
   fs::remove_all(path);
   fs::create_directories(path);
   return path;

@@ -28,6 +28,7 @@
 #include "sim/engine.h"
 #include "sim/trace.h"
 #include "util/check.h"
+#include "scratch_path.h"
 
 namespace dynet {
 namespace {
@@ -241,7 +242,7 @@ TEST(Events, SerializeIsOrderedTypedJson) {
 }
 
 TEST(Events, WriterAppendsAndContinuesSeqAcrossReopen) {
-  const std::string path = ::testing::TempDir() + "events_reopen.jsonl";
+  const std::string path = testutil::scratchPath("events_reopen.jsonl");
   std::filesystem::remove(path);
   {
     obs::EventWriter writer(path);
@@ -267,7 +268,7 @@ TEST(Events, WriterAppendsAndContinuesSeqAcrossReopen) {
 }
 
 TEST(Events, WriterRepairsTornTailOnReopen) {
-  const std::string path = ::testing::TempDir() + "events_torn.jsonl";
+  const std::string path = testutil::scratchPath("events_torn.jsonl");
   std::filesystem::remove(path);
   {
     obs::EventWriter writer(path);
