@@ -85,6 +85,10 @@ echo "=== perfbench correctness smoke (records vs perfbench/reference) ==="
 # reference or a protocol check fails; the timings are not gated here.
 python3 perfbench/run.py --workload all --seconds 3
 
+echo "=== perf_pairs smoke (one 1 s self-pair on the tree just built) ==="
+python3 scripts/perf_pairs.py --base-dir . --workload faulted_trace \
+  --pairs 1 --seconds 1 > /dev/null
+
 echo "=== campaign kill-and-resume smoke ==="
 scripts/campaign_smoke.sh build/tools/dynet_cli
 

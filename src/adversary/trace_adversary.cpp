@@ -132,7 +132,6 @@ TraceAdversary::Step TraceAdversary::stepTo(sim::Round round) {
   const sim::Round target = tracePosition(round);
   Step step;
   if (pos_ == target) {
-    pos_ = target;
     return step;  // clamp (or T == 1): same topology again
   }
   step.moved = true;
@@ -149,16 +148,27 @@ TraceAdversary::Step TraceAdversary::stepTo(sim::Round round) {
     step.added = d.removed;
     step.patched = true;
   }
+  pos_ = target;
+  return step;
+}
+
+net::GraphPtr TraceAdversary::rebuild(const Step& step) {
   if (step.patched) {
+    if (cur_stale_) {
+      const std::span<const net::Edge> edges = current_->edges();
+      cur_edges_.assign(edges.begin(), edges.end());
+    }
     dataset::applyPositionalPatch(cur_edges_, step.removed, step.added,
-                                  trace_->source, target);
+                                  trace_->source, pos_);
   } else {
     // First round, or a jump (wrap-around, seeded offset): rebuild from
     // the start of the timeline.
-    resetToPosition(target);
+    resetToPosition(pos_);
   }
-  pos_ = target;
-  return step;
+  cur_stale_ = false;
+  current_ = std::make_shared<net::Graph>(trace_->num_nodes, cur_edges_);
+  current_->warm();
+  return current_;
 }
 
 net::GraphPtr TraceAdversary::topology(sim::Round round,
@@ -168,9 +178,7 @@ net::GraphPtr TraceAdversary::topology(sim::Round round,
   if (!step.moved && current_ != nullptr) {
     return current_;
   }
-  current_ = std::make_shared<net::Graph>(trace_->num_nodes, cur_edges_);
-  current_->warm();
-  return current_;
+  return rebuild(step);
 }
 
 bool TraceAdversary::topologyUpdate(sim::Round round,
@@ -185,19 +193,20 @@ bool TraceAdversary::topologyUpdate(sim::Round round,
     return true;
   }
   if (step.patched && prev != nullptr) {
-    // applyPositionalPatch mirrors Graph::applyDelta, so this graph's
-    // edges() sequence equals cur_edges_ — the byte-identity invariant.
+    // prev's edges() equal the previous position's list (the byte-identity
+    // invariant), and applyDelta runs the same positional patch, so the
+    // result is this position's list.  Mark cur_edges_ stale rather than
+    // patching it a second time.
     out.graph = prev->applyDelta(step.removed, step.added,
                                  /*same_components=*/options_.spine);
     out.is_delta = true;
     out.edges_added = step.added.size();
     out.edges_removed = step.removed.size();
     current_ = out.graph;
+    cur_stale_ = true;
     return true;
   }
-  current_ = std::make_shared<net::Graph>(trace_->num_nodes, cur_edges_);
-  current_->warm();
-  out.graph = current_;
+  out.graph = rebuild(step);
   out.is_delta = false;
   return true;
 }

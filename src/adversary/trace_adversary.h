@@ -2,12 +2,15 @@
 // (src/dataset/) as the per-round topology.
 //
 // The adversary is a small state machine over the trace's edge-delta
-// timeline.  Both entry points — topology() and the delta-native
-// topologyUpdate() — advance the same internal edge list with the exact
-// positional-patch semantics of Graph::applyDelta, so the two engine
+// timeline.  The delta-native topologyUpdate() patches the previous
+// round's graph with Graph::applyDelta; topology() patches an internal
+// edge list with dataset::applyPositionalPatch and builds a fresh graph.
+// Both run the one positional patch, net::patchEdgeList, so the two engine
 // paths emit value-identical edges() sequences and runs stay
 // byte-identical across the flag matrix (the same contract every
-// synthetic adversary honors).
+// synthetic adversary honors).  Each round is patched once: after a delta
+// round the internal list is only marked stale, and is re-synced from the
+// current graph when a full rebuild next needs it.
 //
 // Real traces are finite and usually disconnected in places, so two
 // knobs adapt them to the model:
@@ -23,6 +26,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 
 #include "dataset/trace.h"
@@ -62,14 +66,17 @@ class TraceAdversary : public sim::Adversary {
  private:
   struct Step {
     bool moved = false;    // position changed since the last engine round
-    bool patched = false;  // moved by ±1 via a positional patch
-    std::vector<net::Edge> removed;
-    std::vector<net::Edge> added;
+    bool patched = false;  // moved by ±1: `removed`/`added` lead there
+    std::span<const net::Edge> removed;  // views into deltas_
+    std::span<const net::Edge> added;
   };
 
-  /// Advances cur_edges_ to the trace position of `round`; engine rounds
-  /// must arrive sequentially from 1.
+  /// Moves pos_ to the trace position of `round` and describes the move;
+  /// engine rounds must arrive sequentially from 1.  Leaves cur_edges_
+  /// alone.
   Step stepTo(sim::Round round);
+  /// Brings cur_edges_ to pos_ after `step` and builds current_ from it.
+  net::GraphPtr rebuild(const Step& step);
   void resetToPosition(sim::Round pos);
   const dataset::RoundDelta& deltaInto(sim::Round pos) const;
 
@@ -82,7 +89,11 @@ class TraceAdversary : public sim::Adversary {
 
   sim::Round last_round_ = 0;  // last engine round served
   sim::Round pos_ = 0;         // current trace position (0 = not started)
+  // Edge list at pos_ for the full-rebuild path.  After a delta round it
+  // is stale: current_->edges() holds the same sequence (the byte-identity
+  // invariant) and is copied back only when rebuild() needs it.
   std::vector<net::Edge> cur_edges_;
+  bool cur_stale_ = false;
   net::GraphPtr current_;
 };
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -108,14 +109,14 @@ CompiledTrace randomTrace(net::NodeId n, sim::Round rounds, int churn,
 std::uint64_t fnv1a64(std::string_view data);
 std::uint64_t fnv1a64(std::string_view data, std::uint64_t state);
 
-/// Applies one delta to an edge list with the exact positional-patch
-/// semantics of Graph::applyDelta: removed slots are found by first-match
-/// scan, paired with added edges in order, extra adds append, extra
-/// removal holes compact by a stable shift.  TraceAdversary uses this to
-/// keep its full-topology path value-identical to the engine's delta path.
+/// Applies one delta to an edge list with net::patchEdgeList, the routine
+/// Graph::applyDelta patches its own edge list with, so TraceAdversary's
+/// full-topology path stays value-identical to the engine's delta path.
+/// A removed edge with no slot left fails loudly: "trace <source> round
+/// <round>: removed edge (a,b) not present".
 void applyPositionalPatch(std::vector<net::Edge>& edges,
-                          const std::vector<net::Edge>& removed,
-                          const std::vector<net::Edge>& added,
+                          std::span<const net::Edge> removed,
+                          std::span<const net::Edge> added,
                           const std::string& source, sim::Round round);
 
 }  // namespace dynet::dataset

@@ -1,6 +1,7 @@
 #include "net/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "util/check.h"
@@ -170,47 +171,92 @@ bool Graph::hasEdge(NodeId a, NodeId b) const {
 Graph::Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated)
     : num_nodes_(num_nodes), edges_(std::move(edges)) {}
 
-GraphPtr Graph::applyDelta(std::span<const Edge> removed,
-                           std::span<const Edge> added,
-                           bool same_components) const {
-  DYNET_CHECK(warmed()) << "applyDelta requires a warmed base graph";
-  for (const Edge& e : added) {
-    DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
-        << "added edge (" << e.a << "," << e.b << ") out of range, n="
-        << num_nodes_;
-    DYNET_CHECK(e.a != e.b) << "added self-loop at " << e.a;
+namespace {
+
+bool edgeLess(const Edge& x, const Edge& y) {
+  return x.a != y.a ? x.a < y.a : x.b < y.b;
+}
+
+/// Bit of an edge value in patchEdgeList's 4096-bit removal filter; equal
+/// edges always share a bit.
+std::uint32_t filterBit(const Edge& e) {
+  return (static_cast<std::uint32_t>(e.a) * 0x9E3779B1U ^
+          static_cast<std::uint32_t>(e.b) * 0x85EBCA77U) >>
+         20;
+}
+
+/// Both arcs {source, target} of every edge, sorted by (source, target):
+/// a node's arcs form one run whose targets ascend like its CSR row.
+std::vector<Edge> sortedArcs(std::span<const Edge> edges) {
+  std::vector<Edge> arcs;
+  arcs.reserve(edges.size() * 2);
+  for (const Edge& e : edges) {
+    arcs.push_back({e.a, e.b});
+    arcs.push_back({e.b, e.a});
+  }
+  std::sort(arcs.begin(), arcs.end(), edgeLess);
+  return arcs;
+}
+
+}  // namespace
+
+std::optional<std::size_t> patchEdgeList(std::vector<Edge>& edges,
+                                         std::span<const Edge> removed,
+                                         std::span<const Edge> added) {
+  // Removal indices grouped by edge value, each group in index order, so
+  // the next unplaced removal of a value is its group's head plus the
+  // number of slots the group already took.
+  std::vector<std::uint32_t> order(removed.size());
+  std::iota(order.begin(), order.end(), 0U);
+  std::stable_sort(order.begin(), order.end(),
+                   [removed](std::uint32_t x, std::uint32_t y) {
+                     return edgeLess(removed[x], removed[y]);
+                   });
+  std::array<std::uint64_t, 64> filter{};
+  for (const Edge& e : removed) {
+    const std::uint32_t bit = filterBit(e);
+    filter[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+  }
+  constexpr std::size_t kUnplaced = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot(removed.size(), kUnplaced);
+  std::vector<std::uint32_t> taken(removed.size(), 0);  // indexed by head
+  std::size_t placed = 0;
+  for (std::size_t j = 0; j < edges.size() && placed < removed.size(); ++j) {
+    const Edge e = edges[j];
+    const std::uint32_t bit = filterBit(e);
+    if (((filter[bit >> 6] >> (bit & 63)) & 1) == 0) {
+      continue;
+    }
+    const auto head = static_cast<std::size_t>(
+        std::lower_bound(order.begin(), order.end(), e,
+                         [removed](std::uint32_t i, const Edge& v) {
+                           return edgeLess(removed[i], v);
+                         }) -
+        order.begin());
+    if (head == order.size() || removed[order[head]] != e) {
+      continue;  // a filter false positive
+    }
+    const std::size_t next = head + taken[head];
+    if (next < order.size() && removed[order[next]] == e) {
+      slot[order[next]] = j;
+      ++taken[head];
+      ++placed;
+    }
+  }
+  if (placed < removed.size()) {
+    return static_cast<std::size_t>(
+        std::find(slot.begin(), slot.end(), kUnplaced) - slot.begin());
   }
 
-  // Patch the edge list with positional replacement so the resulting
-  // sequence matches what a from-scratch rebuild in the same stable order
-  // would emit (trace byte-identity depends on edges() order).
-  std::vector<Edge> edges = edges_;
-  std::vector<std::size_t> removed_at(removed.size());
-  for (std::size_t i = 0; i < removed.size(); ++i) {
-    std::size_t pos = edges.size();
-    for (std::size_t j = 0; j < edges.size(); ++j) {
-      if (edges[j] == removed[i] &&
-          std::find(removed_at.begin(), removed_at.begin() + i, j) ==
-              removed_at.begin() + i) {
-        pos = j;
-        break;
-      }
-    }
-    DYNET_CHECK(pos < edges.size()) << "removed edge (" << removed[i].a << ","
-                                    << removed[i].b << ") not present";
-    removed_at[i] = pos;
-  }
   const std::size_t paired = std::min(removed.size(), added.size());
   for (std::size_t i = 0; i < paired; ++i) {
-    edges[removed_at[i]] = added[i];
+    edges[slot[i]] = added[i];
   }
-  for (std::size_t i = paired; i < added.size(); ++i) {
-    edges.push_back(added[i]);
-  }
+  edges.insert(edges.end(), added.begin() + static_cast<std::ptrdiff_t>(paired),
+               added.end());
   if (removed.size() > paired) {
-    std::vector<std::size_t> holes(removed_at.begin() +
-                                       static_cast<std::ptrdiff_t>(paired),
-                                   removed_at.end());
+    std::vector<std::size_t> holes(
+        slot.begin() + static_cast<std::ptrdiff_t>(paired), slot.end());
     std::sort(holes.begin(), holes.end());
     std::size_t out = holes.front();
     std::size_t next_hole = 0;
@@ -223,6 +269,101 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
     }
     edges.resize(out);
   }
+  return std::nullopt;
+}
+
+void Graph::patchAdjacency(const Graph& base, std::span<const Edge> removed,
+                           std::span<const Edge> added) const {
+  const std::vector<Edge> gone = sortedArcs(removed);
+  const std::vector<Edge> fresh = sortedArcs(added);
+  const std::vector<std::int32_t>& old_offsets = base.adj_offsets_;
+  const std::vector<NodeId>& old_list = base.adj_list_;
+  adj_offsets_.resize(old_offsets.size());
+  adj_list_.reserve(edges_.size() * 2);
+
+  // Rows are appended in node order.  The untouched rows from `from` up to
+  // the next touched node move with one copy, and their offsets all shift
+  // by the same amount.
+  NodeId from = 0;
+  const auto copyRun = [&](NodeId to) {
+    const auto lo = static_cast<std::size_t>(from);
+    const auto hi = static_cast<std::size_t>(to);
+    const auto shift =
+        static_cast<std::int32_t>(adj_list_.size()) - old_offsets[lo];
+    adj_list_.insert(adj_list_.end(), old_list.begin() + old_offsets[lo],
+                     old_list.begin() + old_offsets[hi]);
+    std::transform(old_offsets.begin() + static_cast<std::ptrdiff_t>(lo),
+                   old_offsets.begin() + static_cast<std::ptrdiff_t>(hi),
+                   adj_offsets_.begin() + static_cast<std::ptrdiff_t>(lo),
+                   [shift](std::int32_t offset) { return offset + shift; });
+  };
+
+  std::vector<NodeId> kept;
+  std::size_t gi = 0;
+  std::size_t fi = 0;
+  while (gi < gone.size() || fi < fresh.size()) {
+    const NodeId v = std::min(gi < gone.size() ? gone[gi].a : num_nodes_,
+                              fi < fresh.size() ? fresh[fi].a : num_nodes_);
+    copyRun(v);
+    const auto idx = static_cast<std::size_t>(v);
+    adj_offsets_[idx] = static_cast<std::int32_t>(adj_list_.size());
+
+    // Both the row and v's removed arcs ascend, so one merge-like walk
+    // drops one row entry per removed arc.
+    kept.clear();
+    for (auto j = static_cast<std::size_t>(old_offsets[idx]);
+         j < static_cast<std::size_t>(old_offsets[idx + 1]); ++j) {
+      const NodeId u = old_list[j];
+      if (gi < gone.size() && gone[gi].a == v && gone[gi].b == u) {
+        ++gi;
+        continue;
+      }
+      kept.push_back(u);
+    }
+    DYNET_CHECK(gi == gone.size() || gone[gi].a != v)
+        << "removed edge missing from node " << v << "'s adjacency";
+
+    // Merge v's added neighbours (ascending, each checked to be new) into
+    // the kept ones.
+    auto next_kept = kept.begin();
+    for (const std::size_t first = fi; fi < fresh.size() && fresh[fi].a == v;
+         ++fi) {
+      const NodeId u = fresh[fi].b;
+      DYNET_CHECK(!std::binary_search(kept.begin(), kept.end(), u) &&
+                  (fi == first || fresh[fi - 1].b != u))
+          << "added edge (" << v << "," << u << ") already present";
+      const auto stop = std::lower_bound(next_kept, kept.end(), u);
+      adj_list_.insert(adj_list_.end(), next_kept, stop);
+      adj_list_.push_back(u);
+      next_kept = stop;
+    }
+    adj_list_.insert(adj_list_.end(), next_kept, kept.end());
+    from = v + 1;
+  }
+  copyRun(num_nodes_);
+  adj_offsets_.back() = static_cast<std::int32_t>(adj_list_.size());
+}
+
+GraphPtr Graph::applyDelta(std::span<const Edge> removed,
+                           std::span<const Edge> added,
+                           bool same_components) const {
+  DYNET_CHECK(warmed()) << "applyDelta requires a warmed base graph";
+  for (const Edge& e : added) {
+    DYNET_CHECK(e.a >= 0 && e.a < num_nodes_ && e.b >= 0 && e.b < num_nodes_)
+        << "added edge (" << e.a << "," << e.b << ") out of range, n="
+        << num_nodes_;
+    DYNET_CHECK(e.a != e.b) << "added self-loop at " << e.a;
+  }
+
+  // Positional replacement keeps edges() in the order a from-scratch
+  // rebuild in the same stable order would emit (trace byte-identity
+  // depends on it).
+  std::vector<Edge> edges = edges_;
+  const std::optional<std::size_t> missing =
+      patchEdgeList(edges, removed, added);
+  DYNET_CHECK(!missing.has_value())
+      << "removed edge (" << removed[*missing].a << "," << removed[*missing].b
+      << ") not present";
 
   auto result = std::shared_ptr<Graph>(
       new Graph(num_nodes_, std::move(edges), Unvalidated{}));
@@ -232,68 +373,7 @@ GraphPtr Graph::applyDelta(std::span<const Edge> removed,
   if ((removed.size() + added.size()) * 2 > edges_.size() + 2) {
     return result;
   }
-
-  // Patch the CSR adjacency: untouched nodes copy their (sorted) slice,
-  // touched nodes re-merge theirs.
-  std::vector<char> touched(static_cast<std::size_t>(num_nodes_), 0);
-  for (const Edge& e : removed) {
-    touched[static_cast<std::size_t>(e.a)] = 1;
-    touched[static_cast<std::size_t>(e.b)] = 1;
-  }
-  for (const Edge& e : added) {
-    touched[static_cast<std::size_t>(e.a)] = 1;
-    touched[static_cast<std::size_t>(e.b)] = 1;
-  }
-  result->adj_offsets_.assign(static_cast<std::size_t>(num_nodes_) + 1, 0);
-  result->adj_list_.resize(result->edges_.size() * 2);
-  std::vector<NodeId> scratch;
-  std::vector<NodeId> gone;  // removed neighbors of v, one entry per edge
-  std::int32_t out = 0;
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    const auto idx = static_cast<std::size_t>(v);
-    result->adj_offsets_[idx] = out;
-    const std::size_t begin = static_cast<std::size_t>(adj_offsets_[idx]);
-    const std::size_t end = static_cast<std::size_t>(adj_offsets_[idx + 1]);
-    if (touched[idx] == 0) {
-      std::copy(adj_list_.begin() + static_cast<std::ptrdiff_t>(begin),
-                adj_list_.begin() + static_cast<std::ptrdiff_t>(end),
-                result->adj_list_.begin() + out);
-      out += static_cast<std::int32_t>(end - begin);
-      continue;
-    }
-    scratch.clear();
-    gone.clear();
-    for (const Edge& e : removed) {
-      if (e.a == v) {
-        gone.push_back(e.b);
-      } else if (e.b == v) {
-        gone.push_back(e.a);
-      }
-    }
-    for (std::size_t j = begin; j < end; ++j) {
-      const NodeId u = adj_list_[j];
-      const auto it = std::find(gone.begin(), gone.end(), u);
-      if (it != gone.end()) {
-        gone.erase(it);
-        continue;
-      }
-      scratch.push_back(u);
-    }
-    DYNET_CHECK(gone.empty()) << "removed edge missing from node " << v
-                              << "'s adjacency";
-    for (const Edge& e : added) {
-      if (e.a == v) {
-        scratch.push_back(e.b);
-      } else if (e.b == v) {
-        scratch.push_back(e.a);
-      }
-    }
-    std::sort(scratch.begin(), scratch.end());
-    std::copy(scratch.begin(), scratch.end(),
-              result->adj_list_.begin() + out);
-    out += static_cast<std::int32_t>(scratch.size());
-  }
-  result->adj_offsets_[static_cast<std::size_t>(num_nodes_)] = out;
+  result->patchAdjacency(*this, removed, added);
   result->adj_built_.store(true, std::memory_order_release);
 
   // Components: adding edges to a connected graph keeps it connected; any

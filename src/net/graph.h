@@ -6,7 +6,7 @@
 // rounds pay once.  applyDelta() derives a new Graph from an existing one
 // by patching the edge list and both caches instead of rebuilding, for
 // adversaries whose topology changes a few edges per round
-// (docs/ARCHITECTURE.md, "Incremental topology cache").
+// (docs/ARCHITECTURE.md, "Incremental topology: delta-cache invariants").
 //
 // Full-rebuild adversaries build a fresh Graph every round, so both builders
 // are linear and sort-free.  The CSR is two stable counting-sort passes over
@@ -94,17 +94,27 @@ class Graph {
   }
 
   /// New graph equal to this one with `removed` deleted and `added`
-  /// inserted, derived incrementally: the edge list is patched in place
-  /// (removed[i]'s slot is overwritten by added[i] while both lists last,
-  /// extras appended or compacted), so an adversary whose rebuild emits
-  /// edges in a stable order gets a byte-identical edges() sequence from
-  /// the delta path.  The CSR adjacency is patched per touched node and
-  /// the component cache is carried over when no edge was removed from a
+  /// inserted, derived incrementally.  The edge list is patched in place by
+  /// patchEdgeList() (removed[i]'s slot is overwritten by added[i] while
+  /// both lists last, extras appended or compacted), so an adversary whose
+  /// rebuild emits edges in a stable order gets a byte-identical edges()
+  /// sequence from the delta path.  The CSR adjacency is patched row by
+  /// row for the endpoints of changed edges; each run of untouched rows
+  /// between them moves with one copy and a constant offset shift.  The
+  /// component cache is carried over when no edge was removed from a
   /// connected graph; a removal forces a full component recompute (lazily,
-  /// on the next connected() call) and a delta larger than half the edge
-  /// count falls back to a plain rebuild.  Requires: this graph warmed,
-  /// every removed edge present (exact (a,b) match), every added edge
-  /// valid and not already present.
+  /// on the next connected() call).  Cost: O(m + n) copying plus
+  /// O(|delta| log |delta|) sorting and O(|added| log deg) checking; a
+  /// delta larger than half the edge count falls back to a plain rebuild
+  /// (caches left lazy).
+  ///
+  /// Requires this graph warmed, every removed edge present (exact (a,b)
+  /// match, CheckError "removed edge (a,b) not present" otherwise) and
+  /// every added edge valid and not already present.  On the patched path
+  /// an added edge already among the kept neighbours of its endpoint, or
+  /// added twice, throws CheckError "added edge (a,b) already present"
+  /// (named from its lower endpoint); the large-delta fallback skips that
+  /// check.
   ///
   /// `same_components = true` is a caller assertion that the delta leaves
   /// the component partition's *count* unchanged (e.g. a spanning-tree
@@ -119,6 +129,11 @@ class Graph {
  private:
   struct Unvalidated {};  // tag: applyDelta already knows the edges are good
   Graph(NodeId num_nodes, std::vector<Edge> edges, Unvalidated);
+
+  /// applyDelta's CSR patch: fills this (unpublished) graph's adjacency
+  /// from `base`'s, given the delta that turned base's edges into ours.
+  void patchAdjacency(const Graph& base, std::span<const Edge> removed,
+                      std::span<const Edge> added) const;
 
   void buildAdjacency() const;    // raw builder, reached via adj_once_
   void computeComponents() const;  // raw builder, reached via components_once_
@@ -157,6 +172,27 @@ class Graph {
   mutable std::vector<NodeId> adj_list_;
   mutable std::optional<int> component_count_;
 };
+
+/// Positional edge-list patch, shared by Graph::applyDelta and trace replay
+/// (dataset::applyPositionalPatch).  Each removed[i] takes the lowest slot
+/// holding an equal edge that no earlier equal removal took, duplicates
+/// included; added[i] overwrites removed[i]'s slot while both lists last,
+/// extra adds are appended in order, and extra removal slots are closed by
+/// a stable shift.
+///
+/// One forward pass finds every slot.  Each slot goes to the lowest-index
+/// unplaced removal with an equal value, which by induction over the slots
+/// is exactly the slot a per-removal first-match scan would pick.  A
+/// 4096-bit value filter skips the lookup for almost every slot the delta
+/// does not touch, and the pass stops once every removal has a slot, so a
+/// patch costs O(m + |removed| log |removed|).
+///
+/// Returns the index of the first removal left without a slot (that edge
+/// is not present, or not present often enough) and leaves `edges`
+/// unchanged; returns nullopt once the list is patched.
+std::optional<std::size_t> patchEdgeList(std::vector<Edge>& edges,
+                                         std::span<const Edge> removed,
+                                         std::span<const Edge> added);
 
 /// Connectivity of the subgraph induced by nodes with alive[v] != 0 (edges
 /// with a dead endpoint are unusable).  Vacuously true for zero or one live

@@ -274,6 +274,15 @@ TEST(Compile, PositionalPatchMatchesGraphApplyDelta) {
   }
 }
 
+TEST(Compile, PositionalPatchNamesTheMissingEdge) {
+  std::vector<net::Edge> edges = {{0, 1}, {1, 2}};
+  const std::vector<net::Edge> removed = {{1, 2}, {0, 2}};
+  expectLoudFailure(
+      [&] { applyPositionalPatch(edges, removed, {}, "t.events", 7); },
+      "trace t.events round 7: removed edge (0,2) not present");
+  EXPECT_EQ(edges.size(), 2u);  // left unpatched
+}
+
 // ------------------------------------------------------------ binary cache
 
 TEST(CompiledCache, SerializeParseRoundTrip) {
@@ -429,6 +438,60 @@ TEST(TraceAdversary, DeltaAndRebuildPathsAgreeUnderEveryPolicy) {
       EXPECT_EQ(fast.result.bits_sent, legacy.result.bits_sent);
       EXPECT_EQ(fast.digests, legacy.digests)
           << adv::endPolicyName(policy) << " seeded=" << seeded;
+    }
+  }
+}
+
+// Round by round, not just end-of-run digests: one adversary serves every
+// round through topology(), a twin through topologyUpdate(prev), and their
+// edges() must match each round.  A 5-round trace crosses a wrap or mirror
+// seam every few rounds.  Schedule 1 passes prev == nullptr every third
+// round and schedule 2 calls topology() every fourth, so the twin rebuilds
+// from its internal edge list right after delta rounds that left it stale.
+TEST(TraceAdversary, DeltaAndRebuildPathsAgreeEveryRound) {
+  const auto trace =
+      std::make_shared<const CompiledTrace>(randomTrace(14, 5, 3, 0x10C5));
+  using EndPolicy = adv::TraceReplayOptions::EndPolicy;
+  const sim::RoundObservation obs{};
+  for (const EndPolicy policy :
+       {EndPolicy::kWrap, EndPolicy::kClamp, EndPolicy::kMirror}) {
+    for (const bool seeded : {false, true}) {
+      for (const bool spine : {false, true}) {
+        for (const int schedule : {0, 1, 2}) {
+          adv::TraceReplayOptions options = replayOptions(policy);
+          options.seeded_offset = seeded;
+          options.seed = 0x5EED;
+          options.spine = spine;
+          adv::TraceAdversary full(trace, options);
+          adv::TraceAdversary twin(trace, options);
+          net::GraphPtr prev;
+          int deltas = 0;
+          for (sim::Round r = 1; r <= 24; ++r) {
+            const net::GraphPtr want = full.topology(r, obs);
+            net::GraphPtr got;
+            if (schedule == 2 && r % 4 == 0) {
+              got = twin.topology(r, obs);
+            } else {
+              sim::TopologyUpdate update;
+              const net::GraphPtr& from =
+                  schedule == 1 && r % 3 == 0 ? nullptr : prev;
+              ASSERT_TRUE(twin.topologyUpdate(r, obs, from, update));
+              got = update.graph;
+              deltas += update.is_delta && got != prev ? 1 : 0;
+            }
+            ASSERT_TRUE(std::equal(got->edges().begin(), got->edges().end(),
+                                   want->edges().begin(), want->edges().end()))
+                << adv::endPolicyName(policy) << " seeded=" << seeded
+                << " spine=" << spine << " schedule=" << schedule
+                << " round " << r;
+            if (!got->warmed()) {
+              got->warm();  // as the engine does before the next patch
+            }
+            prev = got;
+          }
+          EXPECT_GT(deltas, 0) << adv::endPolicyName(policy);
+        }
+      }
     }
   }
 }

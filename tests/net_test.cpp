@@ -4,8 +4,11 @@
 #include <algorithm>
 #include <latch>
 #include <numeric>
+#include <optional>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/diameter.h"
@@ -271,6 +274,263 @@ TEST(GraphReference, StalledProofFallsBackToUnionFind) {
   std::vector<Edge> cut = stalledPathOrder(64);
   cut.erase(cut.begin() + 10);
   EXPECT_EQ(Graph(64, cut).componentCount(), 2);
+}
+
+// ---------------------------------------------------------------------------
+// Graph::applyDelta vs a naive reference: the positional patch as one
+// first-match scan per removal, then a fresh Graph for the caches.
+
+std::vector<Edge> referencePatch(std::vector<Edge> edges,
+                                 std::span<const Edge> removed,
+                                 std::span<const Edge> added) {
+  std::vector<std::size_t> slots;
+  for (const Edge& r : removed) {
+    std::size_t j = 0;
+    while (j < edges.size() &&
+           (edges[j] != r ||
+            std::find(slots.begin(), slots.end(), j) != slots.end())) {
+      ++j;
+    }
+    EXPECT_LT(j, edges.size()) << "reference: removal not present";
+    slots.push_back(j);
+  }
+  const std::size_t paired = std::min(removed.size(), added.size());
+  for (std::size_t i = 0; i < paired; ++i) {
+    edges[slots[i]] = added[i];
+  }
+  edges.insert(edges.end(), added.begin() + static_cast<std::ptrdiff_t>(paired),
+               added.end());
+  std::vector<std::size_t> holes(
+      slots.begin() + static_cast<std::ptrdiff_t>(paired), slots.end());
+  std::sort(holes.rbegin(), holes.rend());
+  for (const std::size_t hole : holes) {
+    edges.erase(edges.begin() + static_cast<std::ptrdiff_t>(hole));
+  }
+  return edges;
+}
+
+/// Applies the delta to `base` (warmed) and checks edges() order, every
+/// neighbors(v) and, after warm(), componentCount() against the reference.
+/// Returns the patched graph.
+GraphPtr expectDeltaMatchesReference(const GraphPtr& base,
+                                     std::span<const Edge> removed,
+                                     std::span<const Edge> added) {
+  const std::vector<Edge> before(base->edges().begin(), base->edges().end());
+  const GraphPtr got = base->applyDelta(removed, added);
+  const std::vector<Edge> want_edges = referencePatch(before, removed, added);
+  const std::vector<Edge> got_edges(got->edges().begin(), got->edges().end());
+  EXPECT_TRUE(got_edges == want_edges)
+      << "edges() order differs, " << removed.size() << " removed, "
+      << added.size() << " added";
+  const Graph want(base->numNodes(), want_edges);
+  for (NodeId v = 0; v < base->numNodes(); ++v) {
+    const auto g = got->neighbors(v);
+    const auto w = want.neighbors(v);
+    EXPECT_EQ(std::vector<NodeId>(g.begin(), g.end()),
+              std::vector<NodeId>(w.begin(), w.end()))
+        << "neighbors(" << v << ")";
+  }
+  got->warm();
+  EXPECT_EQ(got->componentCount(), want.componentCount());
+  return got;
+}
+
+/// Random edge list over `n` nodes with random endpoint order and some
+/// edges listed twice (the constructor allows duplicates, and the patch
+/// must treat equal slots by index).
+std::vector<Edge> edgesWithDuplicates(NodeId n, double p, std::mt19937& rng) {
+  std::vector<Edge> edges = randomEdges(n, p, rng);
+  for (Edge& e : edges) {
+    if (rng() % 2 == 0) {
+      std::swap(e.a, e.b);
+    }
+  }
+  const std::size_t copies = edges.size() / 6;
+  for (std::size_t i = 0; i < copies; ++i) {
+    const Edge e = edges[rng() % edges.size()];
+    edges.insert(edges.begin() + static_cast<std::ptrdiff_t>(
+                                     rng() % (edges.size() + 1)),
+                 e);
+  }
+  return edges;
+}
+
+/// A random delta on `edges`: `removals` distinct slots (so equal values
+/// are removed twice when a duplicated edge is picked twice), in random
+/// order, and `adds` fresh pairs absent from the list.
+std::pair<std::vector<Edge>, std::vector<Edge>> randomDelta(
+    NodeId n, const std::vector<Edge>& edges, std::size_t removals,
+    std::size_t adds, std::mt19937& rng) {
+  std::vector<std::size_t> slots(edges.size());
+  std::iota(slots.begin(), slots.end(), 0);
+  std::shuffle(slots.begin(), slots.end(), rng);
+  std::vector<Edge> removed;
+  for (std::size_t i = 0; i < std::min(removals, slots.size()); ++i) {
+    removed.push_back(edges[slots[i]]);
+  }
+  const auto present = [&](NodeId a, NodeId b) {
+    const auto same = [a, b](const Edge& e) {
+      return (e.a == a && e.b == b) || (e.a == b && e.b == a);
+    };
+    return std::any_of(edges.begin(), edges.end(), same);
+  };
+  std::vector<Edge> added;
+  for (int tries = 0; added.size() < adds && tries < 1000; ++tries) {
+    const auto a = static_cast<NodeId>(rng() % static_cast<unsigned>(n));
+    const auto b = static_cast<NodeId>(rng() % static_cast<unsigned>(n));
+    const auto repeat = [a, b](const Edge& e) {
+      return (e.a == a && e.b == b) || (e.a == b && e.b == a);
+    };
+    if (a == b || present(a, b) ||
+        std::any_of(added.begin(), added.end(), repeat)) {
+      continue;
+    }
+    added.push_back({a, b});
+  }
+  return {removed, added};
+}
+
+TEST(GraphDelta, MatchesReferenceOnRandomDeltas) {
+  std::mt19937 rng(21);
+  for (const NodeId n : {4, 12, 40, 150}) {
+    for (int chain = 0; chain < 6; ++chain) {
+      auto base = std::make_shared<const Graph>(
+          n, edgesWithDuplicates(n, 4.0 / n + 0.05, rng));
+      base->warm();
+      // A chain of patches, each on the previous result: hole compaction
+      // (more removals), appends (more adds), balanced and one-sided
+      // deltas, small enough to stay on the patched path.
+      for (int step = 0; step < 12; ++step) {
+        const std::size_t budget = base->numEdges() / 4 + 1;
+        const std::size_t removals = rng() % (budget + 1);
+        const std::size_t adds = rng() % (budget + 1);
+        const auto [removed, added] =
+            randomDelta(n, std::vector<Edge>(base->edges().begin(),
+                                             base->edges().end()),
+                        removals, adds, rng);
+        base = expectDeltaMatchesReference(base, removed, added);
+      }
+    }
+  }
+}
+
+TEST(GraphDelta, EqualEdgesTakeSlotsInIndexOrder) {
+  // (0,1) sits in slots 0, 2 and 4; removing it twice frees slots 0 and 2
+  // (the first two), in removal order, whatever else the delta holds.
+  auto base = std::make_shared<const Graph>(
+      5, std::vector<Edge>{{0, 1}, {1, 2}, {0, 1}, {2, 3}, {0, 1}, {3, 4}});
+  base->warm();
+  const std::vector<Edge> removed = {{2, 3}, {0, 1}, {0, 1}};
+  const std::vector<Edge> added = {{0, 4}, {1, 3}, {2, 4}};
+  const GraphPtr got = expectDeltaMatchesReference(base, removed, added);
+  const std::vector<Edge> want = {{1, 3}, {1, 2}, {2, 4},
+                                  {0, 4}, {0, 1}, {3, 4}};
+  EXPECT_TRUE(std::vector<Edge>(got->edges().begin(), got->edges().end()) ==
+              want);
+  // Fewer adds than removals: the unpaired slots close by a stable shift.
+  const std::vector<Edge> one_add = {{1, 4}};
+  const GraphPtr shrunk = expectDeltaMatchesReference(base, removed, one_add);
+  const std::vector<Edge> want_shrunk = {{1, 2}, {1, 4}, {0, 1}, {3, 4}};
+  EXPECT_TRUE(std::vector<Edge>(shrunk->edges().begin(),
+                                shrunk->edges().end()) == want_shrunk);
+}
+
+TEST(GraphDelta, LargeDeltaFallsBackToLazyCaches) {
+  std::mt19937 rng(22);
+  auto base = std::make_shared<const Graph>(30, randomEdges(30, 0.2, rng));
+  base->warm();
+  const std::size_t m = base->numEdges();
+  const auto [removed, added] =
+      randomDelta(30, std::vector<Edge>(base->edges().begin(),
+                                        base->edges().end()),
+                  m / 2, m / 2, rng);
+  ASSERT_GT((removed.size() + added.size()) * 2, m + 2);
+  const GraphPtr got = base->applyDelta(removed, added);
+  EXPECT_FALSE(got->warmed());  // nothing patched: first use builds
+  expectDeltaMatchesReference(base, removed, added);
+}
+
+TEST(GraphDelta, ComponentCarryRules) {
+  // Path 0-1-2-3-4-5 (connected) plus an edge list with two components.
+  const GraphPtr path = makePath(6);
+  path->warm();
+  auto split = std::make_shared<const Graph>(
+      6, std::vector<Edge>{{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  split->warm();
+  const std::vector<Edge> none;
+  const std::vector<Edge> chord = {{0, 5}};
+  const std::vector<Edge> cut = {{2, 3}};
+
+  // 1. Adds only, on a connected graph: the count (1) carries over.
+  const GraphPtr grown = path->applyDelta(none, chord);
+  EXPECT_TRUE(grown->warmed());
+  EXPECT_EQ(grown->componentCount(), 1);
+  // Adds only on a disconnected graph may merge components: recomputed.
+  const GraphPtr joined = split->applyDelta(none, chord);
+  EXPECT_FALSE(joined->warmed());
+  EXPECT_EQ(joined->componentCount(), 1);
+
+  // 2. A removal without the caller's assertion: recomputed lazily.
+  const GraphPtr halves = path->applyDelta(cut, none);
+  EXPECT_FALSE(halves->warmed());
+  EXPECT_EQ(halves->componentCount(), 2);
+
+  // 3. same_components carries the base count across removals, unverified:
+  // true for a swap that keeps a spanning tree, a lie for a plain cut.
+  const GraphPtr swapped = path->applyDelta(cut, chord, true);
+  EXPECT_TRUE(swapped->warmed());
+  EXPECT_EQ(swapped->componentCount(), 1);
+  const GraphPtr lie = path->applyDelta(cut, none, true);
+  EXPECT_TRUE(lie->warmed());
+  EXPECT_EQ(lie->componentCount(), 1);
+  EXPECT_EQ(Graph(6, std::vector<Edge>(lie->edges().begin(),
+                                       lie->edges().end()))
+                .componentCount(),
+            2);
+}
+
+void expectCheckMentions(const GraphPtr& base, const std::vector<Edge>& removed,
+                         const std::vector<Edge>& added,
+                         const std::string& needle) {
+  try {
+    base->applyDelta(removed, added);
+    ADD_FAILURE() << "expected a CheckError mentioning '" << needle << "'";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << "error message was: " << e.what();
+  }
+}
+
+TEST(GraphDelta, MissingRemovalAndDuplicateAddFailLoudly) {
+  const GraphPtr path = makePath(5);  // (0,1) (1,2) (2,3) (3,4)
+  path->warm();
+  // Absent, reversed, and removed more often than listed.
+  expectCheckMentions(path, {{0, 2}}, {}, "removed edge (0,2) not present");
+  expectCheckMentions(path, {{1, 0}}, {}, "removed edge (1,0) not present");
+  expectCheckMentions(path, {{2, 3}, {2, 3}}, {},
+                      "removed edge (2,3) not present");
+  // Present in either orientation, or added twice in one delta.
+  expectCheckMentions(path, {}, {{0, 1}}, "added edge (0,1) already present");
+  expectCheckMentions(path, {}, {{2, 1}}, "added edge (1,2) already present");
+  expectCheckMentions(path, {}, {{0, 4}, {4, 0}},
+                      "added edge (0,4) already present");
+  // Removing an edge and adding it back in the same delta is fine.
+  const GraphPtr same = path->applyDelta({{{1, 2}}}, {{{1, 2}}});
+  EXPECT_TRUE(std::equal(same->edges().begin(), same->edges().end(),
+                         path->edges().begin(), path->edges().end()));
+}
+
+TEST(PatchEdgeList, ReportsFirstUnplacedRemovalAndLeavesListAlone) {
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {0, 1}};
+  const std::vector<Edge> before = edges;
+  const std::vector<Edge> removed = {{0, 1}, {2, 3}, {0, 1}, {0, 1}};
+  EXPECT_EQ(patchEdgeList(edges, removed, {}), std::optional<std::size_t>(1));
+  EXPECT_TRUE(edges == before);
+  const std::vector<Edge> thrice = {{0, 1}, {0, 1}, {0, 1}};
+  EXPECT_EQ(patchEdgeList(edges, thrice, {}), std::optional<std::size_t>(2));
+  EXPECT_TRUE(edges == before);
+  EXPECT_EQ(patchEdgeList(edges, {}, {}), std::nullopt);
+  EXPECT_TRUE(edges == before);
 }
 
 // Several threads race on the first neighbors()/connected() call of the
