@@ -145,26 +145,36 @@ class ObsSession {
 /// Builds an engine over `factory` and the named adversary.  Pass `ws` when
 /// running many engines back to back (sim::BatchRunner bodies) so the
 /// engine reuses the workspace's scratch capacity instead of allocating a
-/// fresh set of O(N) vectors per trial.  `arena_delivery` /
-/// `topology_deltas` / `soa_state` expose the EngineConfig hot-path
-/// toggles so A/B benches can pin one leg to the legacy (pre-arena,
-/// rebuild-every-round, per-node-object) engine; all paths produce
-/// byte-identical results.
+/// fresh set of O(N) vectors per trial.  The factory constructor runs the
+/// protocol's SoA model where it has one.
 inline sim::Engine makeEngine(const sim::ProcessFactory& factory,
                               std::unique_ptr<sim::Adversary> adversary,
                               sim::Round max_rounds, std::uint64_t seed,
                               bool record = false,
-                              sim::EngineWorkspace* ws = nullptr,
-                              bool arena_delivery = true,
-                              bool topology_deltas = true,
-                              bool soa_state = true) {
+                              sim::EngineWorkspace* ws = nullptr) {
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.record_topologies = record;
-  config.arena_delivery = arena_delivery;
-  config.topology_deltas = topology_deltas;
-  config.soa_state = soa_state;
   return sim::Engine(factory, std::move(adversary), config, seed, ws);
+}
+
+/// makeEngine on per-node Process objects (the process-vector
+/// constructor): for benches that introspect Process members after the
+/// run, or that time the object path against the SoA one.  Byte-identical
+/// results to makeEngine.
+inline sim::Engine makeObjectEngine(const sim::ProcessFactory& factory,
+                                    std::unique_ptr<sim::Adversary> adversary,
+                                    sim::Round max_rounds, std::uint64_t seed,
+                                    sim::EngineWorkspace* ws = nullptr) {
+  const sim::NodeId n = adversary->numNodes();
+  std::vector<std::unique_ptr<sim::Process>> processes;
+  for (sim::NodeId v = 0; v < n; ++v) {
+    processes.push_back(factory.create(v, n));
+  }
+  sim::EngineConfig config;
+  config.max_rounds = max_rounds;
+  return sim::Engine(std::move(processes), std::move(adversary), config, seed,
+                     ws);
 }
 
 /// Realized dynamic diameter of the named adversary at size n (recorded

@@ -17,7 +17,7 @@ namespace dynet {
 namespace {
 
 using bench::makeAdversary;
-using bench::makeEngine;
+using bench::makeObjectEngine;
 using sim::NodeId;
 using sim::Round;
 
@@ -43,11 +43,8 @@ int run(int argc, char** argv) {
         auto summary = sim::runTrials(trials, 600 + n + k, [&](std::uint64_t seed) {
           proto::GossipFactory factory(k, budget_d);
           // Object path: the loop below introspects GossipProcess members.
-          auto engine = makeEngine(factory, makeAdversary(adv_name, n, seed),
-                                   budget_d + 1, seed, /*record=*/false,
-                                   /*ws=*/nullptr, /*arena_delivery=*/true,
-                                   /*topology_deltas=*/true,
-                                   /*soa_state=*/false);
+          auto engine = makeObjectEngine(
+              factory, makeAdversary(adv_name, n, seed), budget_d + 1, seed);
           engine.run();
           Round completed = -1;
           bool all = true;

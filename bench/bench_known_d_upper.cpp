@@ -21,6 +21,7 @@ namespace {
 
 using bench::makeAdversary;
 using bench::makeEngine;
+using bench::makeObjectEngine;
 using sim::NodeId;
 using sim::Round;
 
@@ -88,10 +89,8 @@ Row runProblem(const std::string& problem, const std::string& adv_name,
                                      proto::knownDRounds(diameter, n));
       const Round budget = proto::knownDRounds(diameter, n) + 1;
       // Object path: the loop below introspects MaxFloodProcess members.
-      auto engine =
-          makeEngine(factory, makeAdversary(adv_name, n, seed), budget, seed,
-                     /*record=*/false, /*ws=*/nullptr, /*arena_delivery=*/true,
-                     /*topology_deltas=*/true, /*soa_state=*/false);
+      auto engine = makeObjectEngine(
+          factory, makeAdversary(adv_name, n, seed), budget, seed);
       const auto result = engine.run();
       metrics["rounds"] = result.all_done_round;
       bool ok = result.all_done;

@@ -11,10 +11,9 @@
 // and reports the speedup (the number the BENCH JSON carries; check.sh and
 // CI treat it as the cache's existence proof).  It then replays the trace
 // through TraceAdversary twice — once from the text parse, once from the
-// cache — under both engine paths (arena+deltas and the legacy
-// rebuild-every-round leg) and FAILS unless all four runs agree on rounds,
-// messages, bits, and the combined process state digest.  "The cache is
-// faster" is only interesting if it is also the same trace.
+// cache — and FAILS unless both runs agree on rounds, messages, bits, and
+// the combined process state digest.  "The cache is faster" is only
+// interesting if it is also the same trace.
 //
 // Honors the --quick contract of bench_common.h (CI smoke-runs this) and
 // writes BENCH_trace_replay.json (--json-out=PATH to override).
@@ -55,15 +54,12 @@ struct ReplayDigest {
 };
 
 ReplayDigest replay(std::shared_ptr<const dataset::CompiledTrace> trace,
-                    sim::Round max_rounds, std::uint64_t seed,
-                    bool arena_and_deltas) {
+                    sim::Round max_rounds, std::uint64_t seed) {
   const proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                                     0);
   adv::TraceReplayOptions options;  // wrap + spine defaults
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
-  config.arena_delivery = arena_and_deltas;
-  config.topology_deltas = arena_and_deltas;
   sim::Engine engine(factory,
                      std::make_unique<adv::TraceAdversary>(trace, options),
                      config, seed);
@@ -144,18 +140,12 @@ int run(int argc, char** argv) {
   DYNET_CHECK(*from_text == *from_cache)
       << "cache round-trip changed the compiled trace";
 
-  // Replay equality: text vs cache, across both engine paths.
+  // Replay equality: text vs cache.
   const sim::Round max_rounds = 4 * static_cast<sim::Round>(n) + 64;
-  const ReplayDigest text_fast = replay(from_text, max_rounds, seed, true);
-  const ReplayDigest cache_fast = replay(from_cache, max_rounds, seed, true);
-  const ReplayDigest text_legacy = replay(from_text, max_rounds, seed, false);
-  const ReplayDigest cache_legacy = replay(from_cache, max_rounds, seed, false);
-  DYNET_CHECK(text_fast == cache_fast)
-      << "cache replay diverged from text replay (arena+deltas path)";
-  DYNET_CHECK(text_legacy == cache_legacy)
-      << "cache replay diverged from text replay (legacy path)";
-  DYNET_CHECK(text_fast == text_legacy)
-      << "engine paths diverged on the same trace";
+  const ReplayDigest text_replay = replay(from_text, max_rounds, seed);
+  const ReplayDigest cache_replay = replay(from_cache, max_rounds, seed);
+  DYNET_CHECK(text_replay == cache_replay)
+      << "cache replay diverged from text replay";
 
   const dataset::TraceSummary summary = dataset::summarize(*from_cache);
   util::Table table({"metric", "value"});
@@ -169,8 +159,8 @@ int run(int argc, char** argv) {
   table.row().cell("cache load (ms)").cell(cache_seconds * 1e3, 3);
   table.row().cell("cache speedup").cell(speedup, 2);
   table.row().cell("replay rounds").cell(
-      static_cast<std::int64_t>(text_fast.rounds));
-  table.row().cell("replay messages").cell(text_fast.messages);
+      static_cast<std::int64_t>(text_replay.rounds));
+  table.row().cell("replay messages").cell(text_replay.messages);
   std::cout << table.toString();
 
   std::ofstream json(json_path);
@@ -183,11 +173,11 @@ int run(int argc, char** argv) {
        << "  \"text_load_ms\": " << text_seconds * 1e3 << ",\n"
        << "  \"cache_load_ms\": " << cache_seconds * 1e3 << ",\n"
        << "  \"cache_speedup\": " << speedup << ",\n"
-       << "  \"replay\": {\"rounds\": " << text_fast.rounds
-       << ", \"all_done\": " << (text_fast.all_done ? "true" : "false")
-       << ", \"messages\": " << text_fast.messages
-       << ", \"bits\": " << text_fast.bits << ", \"digest\": \""
-       << campaign::hashHex(text_fast.digest) << "\"}\n}\n";
+       << "  \"replay\": {\"rounds\": " << text_replay.rounds
+       << ", \"all_done\": " << (text_replay.all_done ? "true" : "false")
+       << ", \"messages\": " << text_replay.messages
+       << ", \"bits\": " << text_replay.bits << ", \"digest\": \""
+       << campaign::hashHex(text_replay.digest) << "\"}\n}\n";
   std::cout << "results written to " << json_path << "\n";
   std::filesystem::remove_all(dir);
   return 0;

@@ -23,15 +23,23 @@ echo "=== file-touching suites, shuffled and repeated (flake hunt) ==="
 ctest --test-dir build -j"$(nproc)" --output-on-failure --timeout 300 \
   --schedule-random --repeat until-fail:20 \
   -R '^(StatsTool|TraceCli|Events|Campaign|CheckpointStore|Telemetry|SnapshotDir|CompiledCache|TraceCampaign)\.'
+obs_dir="$(mktemp -d)"
+trap 'rm -rf "$obs_dir"' EXIT
+
 echo "=== benches (--quick smoke run, failures are fatal) ==="
+# Benches that write a BENCH_*.json by default get a temp path: a quick run
+# must not overwrite the committed full-run artifacts.
 for b in build/bench/*; do
   echo "--- $b --quick"
-  "$b" --quick
+  case "$(basename "$b")" in
+    bench_trace_replay | bench_diameter)
+      "$b" --quick --json-out="$obs_dir/$(basename "$b").json" ;;
+    *)
+      "$b" --quick ;;
+  esac
 done
 
 echo "=== observability smoke (metrics + chrome trace + dynet_stats) ==="
-obs_dir="$(mktemp -d)"
-trap 'rm -rf "$obs_dir"' EXIT
 build/tools/dynet_cli --protocol leader_unknown_d --adversary random_tree \
   --nodes 32 --seed 7 --metrics-out "$obs_dir/metrics.json" \
   --chrome-trace "$obs_dir/trace.json"
@@ -44,8 +52,7 @@ build/tools/dynet_stats --in "$obs_dir/bench_metrics.json" > /dev/null
 
 echo "=== engine perf smoke (all comparison modes, equality + speedup) ==="
 build/bench/bench_sim_perf --quick \
-  batch-vs-sequential arena-vs-heap delta-vs-rebuild \
-  soa-vs-objects manyworlds-vs-scalar \
+  batch-vs-sequential soa-vs-objects manyworlds-vs-scalar \
   --json-out="$obs_dir/BENCH_sim_perf.json" \
   --metrics-out="$obs_dir/bench_sim_metrics.json"
 # Cross-shape diff: the CLI run's engine gauges vs the bench's lane-packing
@@ -96,5 +103,15 @@ echo "=== sanitizer build (ASan + UBSan) ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=Debug -DDYNET_SANITIZE=ON
 cmake --build build-asan -j"$(nproc)"
 ctest --test-dir build-asan -j"$(nproc)" --output-on-failure --timeout 600
+
+echo "=== committed BENCH_*.json untouched ==="
+# Every bench run above wrote to a temp path; a modified BENCH_*.json means
+# some run fell back to its default output and clobbered a committed file.
+bench_changes="$(git status --porcelain -- 'BENCH_*.json')"
+if [ -n "$bench_changes" ]; then
+  echo "committed BENCH files were modified:" >&2
+  echo "$bench_changes" >&2
+  exit 1
+fi
 
 echo "ALL CHECKS PASSED"

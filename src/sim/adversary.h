@@ -38,15 +38,14 @@ class Adversary {
   /// and, per the model, be connected (the engine checks).
   virtual net::GraphPtr topology(Round round, const RoundObservation& obs) = 0;
 
-  /// Incremental variant, used by the engine when
-  /// EngineConfig::topology_deltas is set: fill `out` for `round` given
-  /// `prev`, the graph this adversary returned for round - 1 (null in
-  /// round 1).  Return false (the default) when there is no incremental
-  /// path — the engine then falls back to topology().  Contract: out.graph
-  /// must be value-identical (same node count, same edges() sequence) to
-  /// what topology() would have returned for the same round and
-  /// observation, so runs stay byte-identical across the two paths
-  /// (tests/fuzz_diff_test.cpp pins this for the zoo).
+  /// Incremental variant, offered first by the engine every round: fill
+  /// `out` for `round` given `prev`, the graph this adversary returned for
+  /// round - 1 (null in round 1).  Return false (the default) when there
+  /// is no incremental path — the engine then falls back to topology().
+  /// Contract: out.graph must be value-identical (same node count, same
+  /// edges() sequence) to what topology() would have returned for the
+  /// same round and observation (tests/fuzz_diff_test.cpp pins this for
+  /// the zoo against a reference simulator that only calls topology()).
   virtual bool topologyUpdate(Round round, const RoundObservation& obs,
                               const net::GraphPtr& prev, TopologyUpdate& out) {
     (void)round;

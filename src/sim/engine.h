@@ -55,29 +55,6 @@ struct EngineConfig {
   bool relax_connectivity_to_live = true;
   bool record_topologies = false;
   bool record_actions = false;
-  /// Round hot-path selection.  The default (true) delivers through the
-  /// workspace's RoundArena: zero-copy MessageRef spans for protocols that
-  /// opt in (Process::wantsMessageRefs), arena-materialized inboxes for the
-  /// rest.  False selects the legacy per-receiver std::vector<Message>
-  /// path — kept verbatim for differential testing
-  /// (tests/fuzz_diff_test.cpp) and the bench's arena-vs-heap mode.  Both
-  /// paths are byte-identical by contract.
-  bool arena_delivery = true;
-  /// When true (the default) the engine offers each round to
-  /// Adversary::topologyUpdate first, letting delta-native adversaries
-  /// reuse or patch the previous round's graph instead of rebuilding;
-  /// adversaries without an incremental path fall back to topology().
-  /// False always calls topology() — the legacy path, byte-identical by
-  /// the topologyUpdate contract.
-  bool topology_deltas = true;
-  /// Structure-of-arrays state selection for the factory constructor: when
-  /// true (the default) and the ProcessFactory overrides createSoA, protocol
-  /// state lives in flat per-field arrays (sim/soa.h) instead of per-node
-  /// Process objects, byte-identical by contract (tests/soa_state_test.cpp,
-  /// fuzz-diff, golden corpus).  False — or a factory without a model, or
-  /// the process-vector constructor — selects the legacy object path, kept
-  /// verbatim as the differential baseline.
-  bool soa_state = true;
   /// Intra-trial worker count for the SoA compute/delivery loops
   /// (sim/soa_exec.h strided pattern).  1 (the default) is the serial loop —
   /// BatchRunner already parallelizes across trials; 0 means one worker per
@@ -88,12 +65,11 @@ struct EngineConfig {
   /// engine stops exposing node identities through delivery order.  The
   /// canonical ascending-sender inbox is re-numbered into ports by a
   /// deterministic per-(receiver, round) permutation — ports are stable
-  /// within a round, unrelated across rounds — and MessageRef::sender
-  /// carries the port, not the node id.  Off (the default) is byte-
-  /// identical to pre-anonymous behavior: the flag is never read outside
-  /// delivery (pinned by tests/anon_test.cpp, --no-telemetry pattern).
-  /// Anonymous runs force the object process path (SoA models index state
-  /// by real node id).
+  /// within a round, unrelated across rounds; a message's position in the
+  /// inbox is its port.  Off (the default) is byte-identical to
+  /// pre-anonymous behavior: the flag is never read outside delivery
+  /// (pinned by tests/anon_test.cpp).  Anonymous runs force the object
+  /// process path (SoA models index state by real node id).
   bool anonymous = false;
   /// Full-duplex broadcast-CONGEST delivery (docs/DIAMETER.md): a sender
   /// also receives its sending neighbors' messages that round, delivered
@@ -160,11 +136,12 @@ class Engine {
   Engine(std::vector<std::unique_ptr<Process>> processes,
          std::unique_ptr<Adversary> adversary, EngineConfig config,
          std::uint64_t seed, EngineWorkspace* workspace = nullptr);
-  /// Factory form: node count comes from the adversary.  With
-  /// config.soa_state and a factory that overrides createSoA, the run uses
-  /// the structure-of-arrays path; otherwise processes are materialized via
-  /// factory.create and the run is the classic object path.  Both paths are
-  /// byte-identical by contract.
+  /// Factory form: node count comes from the adversary.  When the factory
+  /// overrides createSoA and the mode allows it (neither anonymous nor
+  /// duplex), the run uses the structure-of-arrays path; otherwise
+  /// processes are materialized via factory.create.  Both are byte-
+  /// identical by contract; a caller that needs Process objects uses the
+  /// process-vector constructor above.
   Engine(const ProcessFactory& factory, std::unique_ptr<Adversary> adversary,
          EngineConfig config, std::uint64_t seed,
          EngineWorkspace* workspace = nullptr);

@@ -1,7 +1,7 @@
 #include "sim/phase.h"
 
-#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "faults/fault_injector.h"
 #include "obs/sink.h"
@@ -158,22 +158,12 @@ void ComputePhase::run(RoundContext& ctx) {
       ws.coin_keys[static_cast<std::size_t>(v)] =
           util::hashCombine(ctx.seed, static_cast<std::uint64_t>(v));
     }
-    if (ctx.soa == nullptr) {
-      auto& processes = *ctx.processes;
-      ws.wants_refs.resize(np);
-      for (NodeId v = 0; v < ctx.n; ++v) {
-        // Cached once per run: the answer is a class property, and the
-        // delivery loop asks for every receiver every round.
-        ws.wants_refs[static_cast<std::size_t>(v)] =
-            processes[static_cast<std::size_t>(v)]->wantsMessageRefs() ? 1 : 0;
-      }
-    }
   }
   if (ctx.soa != nullptr) {
     // The model fills every action slot and accounts its sends
     // (sim/soa_exec.h): fused into the serial walk at one worker, a
     // separate ascending pass after the join otherwise — either way the
-    // counter updates and histogram observations land in the legacy order.
+    // counter updates and histogram observations land in ascending node order.
     ctx.soa->computeAll(ctx);
     closeSpan(ctx, "process_step");
     return;
@@ -198,22 +188,20 @@ void ComputePhase::run(RoundContext& ctx) {
 
 // The adversary fixes the topology after observing the actions; the engine
 // checks the model's connectivity invariant and warms the graph's lazy
-// caches so the GraphPtr is safe to share across threads afterwards.  With
-// topology_deltas set, delta-native adversaries get first refusal via
-// topologyUpdate and may reuse or patch the previous round's graph; the
-// warm step skips graphs that are already warm (shared static/periodic
-// topologies, applyDelta results), so only genuinely cold graphs pay.
+// caches so the GraphPtr is safe to share across threads afterwards.
+// Delta-native adversaries get first refusal via topologyUpdate and may
+// reuse or patch the previous round's graph; the warm step skips graphs
+// that are already warm (shared static/periodic topologies, applyDelta
+// results), so only genuinely cold graphs pay.
 void AdversaryPhase::run(RoundContext& ctx) {
   RoundObservation obs{ctx.ws->actions};
   net::GraphPtr g;
   bool incremental = false;
-  if (ctx.config->topology_deltas) {
-    TopologyUpdate update;
-    if (ctx.adversary->topologyUpdate(ctx.round, obs, ctx.ws->prev_topology,
-                                      update)) {
-      g = std::move(update.graph);
-      incremental = update.is_delta;
-    }
+  TopologyUpdate update;
+  if (ctx.adversary->topologyUpdate(ctx.round, obs, ctx.ws->prev_topology,
+                                    update)) {
+    g = std::move(update.graph);
+    incremental = update.is_delta;
   }
   if (g == nullptr) {
     g = ctx.adversary->topology(ctx.round, obs);
@@ -232,9 +220,7 @@ void AdversaryPhase::run(RoundContext& ctx) {
   if (ctx.obs != nullptr) {
     (incremental ? ctx.obs->topo_incremental : ctx.obs->topo_full)->inc();
   }
-  if (ctx.config->topology_deltas) {
-    ctx.ws->prev_topology = g;
-  }
+  ctx.ws->prev_topology = g;
   if (ctx.config->check_connectivity) {
     if (ctx.faulty && ctx.config->relax_connectivity_to_live &&
         ctx.injector->plan().hasCrashes()) {
@@ -268,116 +254,17 @@ namespace {
 // Anonymous-mode port permutation (EngineConfig::anonymous): the inbox a
 // receiver sees is the canonical ascending-sender list reordered by a
 // Fisher-Yates shuffle keyed on (seed, receiver, round) — ports are stable
-// within a round and carry no identity across rounds.  Both delivery paths
-// build the same base order (the fuzz-diff contract), so applying the same
-// keyed shuffle keeps them byte-identical to each other.
-std::uint64_t anonKey(const RoundContext& ctx, NodeId v) {
-  return util::hashCombine(
+// within a round and carry no identity across rounds.
+void anonShuffle(std::vector<Message>& inbox, const RoundContext& ctx,
+                 NodeId v) {
+  util::Rng rng(util::hashCombine(
       util::hashCombine(ctx.seed ^ 0x616e6f6e706f7274ULL,
                         static_cast<std::uint64_t>(v)),
-      static_cast<std::uint64_t>(ctx.round));
-}
-
-template <typename T>
-void anonShuffle(std::vector<T>& items, const RoundContext& ctx, NodeId v) {
-  util::Rng rng(anonKey(ctx, v));
-  for (std::size_t i = items.size(); i > 1; --i) {
+      static_cast<std::uint64_t>(ctx.round)));
+  for (std::size_t i = inbox.size(); i > 1; --i) {
     const auto j = static_cast<std::size_t>(rng.below(i));
-    std::swap(items[i - 1], items[j]);
+    std::swap(inbox[i - 1], inbox[j]);
   }
-}
-
-// Arena delivery: one bump arena owns every ref span, corrupted payload
-// copy, and shim inbox slot for the round; receivers that opted in via
-// wantsMessageRefs() get zero-copy MessageRef spans pointing straight at
-// the senders' Action payloads.  neighbors() is sorted ascending, so
-// walking it yields the canonical ascending-sender delivery order without
-// the legacy path's collect-and-sort step.  Semantically byte-identical to
-// the legacy path below (tests/fuzz_diff_test.cpp).
-void deliverThroughArena(RoundContext& ctx) {
-  auto& processes = *ctx.processes;
-  EngineWorkspace& ws = *ctx.ws;
-  RunResult& result = *ctx.result;
-  RoundArena& arena = ws.arena;
-  const net::Graph& g = *ctx.topology;
-  const Action* const actions = ws.actions.data();
-  const char* const wants_refs = ws.wants_refs.data();
-  for (NodeId v = 0; v < ctx.n; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (ctx.faulty && ws.alive[vi] == 0) {
-      continue;  // crashed: no onDeliver
-    }
-    Process& p = *processes[vi];
-    const bool sent = actions[vi].send;
-    // Send-xor-receive (the paper's model): a sender hears nothing this
-    // round.  Under EngineConfig::duplex (broadcast CONGEST for the
-    // distance-computation suite) a sender falls through and collects its
-    // sending neighbors' messages like any receiver, with sent=true.
-    if (sent && !ctx.config->duplex) {
-      if (wants_refs[vi] != 0) {
-        p.onDeliverRefs(ctx.round, true, {});
-      } else {
-        p.onDeliver(ctx.round, true, {});
-      }
-      continue;
-    }
-    const std::span<const NodeId> neighbors = g.neighbors(v);
-    arena.beginInbox(neighbors.size());
-    if (!ctx.faulty) {
-      for (const NodeId u : neighbors) {
-        const Action& a = actions[static_cast<std::size_t>(u)];
-        if (a.send) {
-          arena.pushRef(u, &a.msg);
-        }
-      }
-    } else {
-      for (const NodeId u : neighbors) {
-        const Action& a = actions[static_cast<std::size_t>(u)];
-        if (!a.send) {
-          continue;
-        }
-        const auto fate = ctx.injector->deliveryFate(u, v, ctx.round);
-        if (fate == faults::FaultPlan::Fate::kDrop) {
-          ++result.messages_dropped;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_dropped->inc();
-          }
-          continue;
-        }
-        if (fate == faults::FaultPlan::Fate::kCorrupt) {
-          ++result.messages_corrupted;
-          if (ctx.obs != nullptr) {
-            ctx.obs->messages_corrupted->inc();
-          }
-          if (!ctx.injector->plan().config().deliver_corrupted) {
-            continue;  // link-layer CRC catches it
-          }
-          Message* slot = arena.allocPayload();
-          *slot = ctx.injector->corrupted(a.msg, u, v, ctx.round);
-          arena.pushRef(u, slot);
-          continue;
-        }
-        arena.pushRef(u, &a.msg);
-      }
-    }
-    std::span<const MessageRef> refs = arena.refs();
-    if (ctx.config->anonymous) {
-      ws.anon_refs.assign(refs.begin(), refs.end());
-      anonShuffle(ws.anon_refs, ctx, v);
-      for (std::size_t i = 0; i < ws.anon_refs.size(); ++i) {
-        // Re-number the sender field into the port index: the receiver
-        // learns "port i spoke", never which node sits behind it.
-        ws.anon_refs[i].sender = static_cast<NodeId>(i);
-      }
-      refs = ws.anon_refs;
-    }
-    if (wants_refs[vi] != 0) {
-      p.onDeliverRefs(ctx.round, sent, refs);
-    } else {
-      p.onDeliver(ctx.round, sent, arena.materialize(refs));
-    }
-  }
-  arena.endRound();
 }
 
 }  // namespace
@@ -385,19 +272,14 @@ void deliverThroughArena(RoundContext& ctx) {
 // Every receiving node gets the messages of its sending neighbors.  The
 // fault injector sits between the send decision and onDeliver: each
 // individual (sender, receiver) delivery may be dropped or corrupted;
-// crashed receivers get nothing at all.  The arena path above is the
-// default; the else-branch is the legacy per-receiver-vector path, kept
-// verbatim as the differential-testing baseline.
+// crashed receivers get nothing at all.  neighbors() is sorted ascending,
+// so walking it yields the canonical ascending-sender delivery order
+// directly (tests/reference_sim.cpp rebuilds it by collect-and-sort).
 void DeliveryPhase::run(RoundContext& ctx) {
   if (ctx.soa != nullptr) {
     // SoA path: the model walks the flat arrays itself (sim/soa_exec.h
-    // reproduces the fault filter and canonical order of the loops below).
+    // reproduces the fault filter and canonical order of the loop below).
     ctx.soa->deliverAll(ctx);
-    closeSpan(ctx, "delivery");
-    return;
-  }
-  if (ctx.config->arena_delivery) {
-    deliverThroughArena(ctx);
     closeSpan(ctx, "delivery");
     return;
   }
@@ -405,29 +287,27 @@ void DeliveryPhase::run(RoundContext& ctx) {
   EngineWorkspace& ws = *ctx.ws;
   RunResult& result = *ctx.result;
   const net::Graph& g = *ctx.topology;
+  const Action* const actions = ws.actions.data();
   for (NodeId v = 0; v < ctx.n; ++v) {
-    if (ctx.faulty && ws.alive[static_cast<std::size_t>(v)] == 0) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (ctx.faulty && ws.alive[vi] == 0) {
       continue;  // crashed: no onDeliver
     }
-    const Action& a = ws.actions[static_cast<std::size_t>(v)];
-    // Same duplex fall-through as the arena path above.
-    if (a.send && !ctx.config->duplex) {
-      processes[static_cast<std::size_t>(v)]->onDeliver(ctx.round, true, {});
+    const bool sent = actions[vi].send;
+    // Send-xor-receive (the paper's model): a sender hears nothing this
+    // round.  Under EngineConfig::duplex (broadcast CONGEST for the
+    // distance-computation suite) a sender falls through and collects its
+    // sending neighbors' messages like any receiver, with sent=true.
+    if (sent && !ctx.config->duplex) {
+      processes[vi]->onDeliver(ctx.round, true, {});
       continue;
     }
-    // Deliver in ascending sender-id order: the model gives messages no
-    // arrival order, so the engine defines a canonical one that any
-    // simulating party can reproduce.
-    ws.inbox_senders.clear();
-    for (NodeId u : g.neighbors(v)) {
-      if (ws.actions[static_cast<std::size_t>(u)].send) {
-        ws.inbox_senders.push_back(u);
-      }
-    }
-    std::sort(ws.inbox_senders.begin(), ws.inbox_senders.end());
     ws.inbox.clear();
-    for (NodeId u : ws.inbox_senders) {
-      const Message& msg = ws.actions[static_cast<std::size_t>(u)].msg;
+    for (const NodeId u : g.neighbors(v)) {
+      const Action& a = actions[static_cast<std::size_t>(u)];
+      if (!a.send) {
+        continue;
+      }
       if (ctx.faulty) {
         const auto fate = ctx.injector->deliveryFate(u, v, ctx.round);
         if (fate == faults::FaultPlan::Fate::kDrop) {
@@ -442,20 +322,18 @@ void DeliveryPhase::run(RoundContext& ctx) {
           if (ctx.obs != nullptr) {
             ctx.obs->messages_corrupted->inc();
           }
-          if (!ctx.injector->plan().config().deliver_corrupted) {
-            continue;  // link-layer CRC catches it
+          if (ctx.injector->plan().config().deliver_corrupted) {
+            ws.inbox.push_back(ctx.injector->corrupted(a.msg, u, v, ctx.round));
           }
-          ws.inbox.push_back(ctx.injector->corrupted(msg, u, v, ctx.round));
-          continue;
+          continue;  // without deliver_corrupted the link-layer CRC eats it
         }
       }
-      ws.inbox.push_back(msg);
+      ws.inbox.push_back(a.msg);
     }
     if (ctx.config->anonymous) {
       anonShuffle(ws.inbox, ctx, v);
     }
-    processes[static_cast<std::size_t>(v)]->onDeliver(ctx.round, a.send,
-                                                      ws.inbox);
+    processes[vi]->onDeliver(ctx.round, sent, ws.inbox);
   }
   closeSpan(ctx, "delivery");
 }

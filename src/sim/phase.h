@@ -70,9 +70,8 @@ struct EngineObs {
   obs::Histogram* bits_per_send;
   obs::Series* round_bits;
   obs::Series* round_messages;
-  // Incremental-topology accounting (reserved topology/ prefix; these and
-  // the arena/ gauges are the only metrics allowed to differ between the
-  // legacy and arena+delta engine paths — docs/OBSERVABILITY.md).
+  // Incremental-topology accounting (topology/ prefix,
+  // docs/OBSERVABILITY.md).
   obs::Counter* topo_incremental;
   obs::Counter* topo_full;
   obs::Counter* topo_cold_warms;

@@ -39,18 +39,6 @@ struct Action {
   }
 };
 
-/// Zero-copy view of one delivered message: the sender's id plus a pointer
-/// to a payload owned by the engine (the sender's Action, or the round
-/// arena for corrupted copies).  Valid only for the duration of the
-/// onDeliverRefs call that hands it over.
-struct MessageRef {
-  NodeId sender = -1;
-  const Message* payload = nullptr;
-
-  const Message& operator*() const { return *payload; }
-  const Message* operator->() const { return payload; }
-};
-
 class Process {
  public:
   virtual ~Process() = default;
@@ -58,34 +46,17 @@ class Process {
   /// Decides this round's action.  `round` is 1-based.
   virtual Action onRound(Round round, util::CoinStream& coins) = 0;
 
-  /// End-of-round delivery.  If the node sent, `received` is empty and
-  /// `sent` is true.  A receiving node with no sending neighbor gets an
-  /// empty span with `sent` false.  Under EngineConfig::duplex a sender
-  /// also receives: `sent` is true AND `received` holds its sending
-  /// neighbors' messages.
+  /// End-of-round delivery, the only way messages reach a process.  If
+  /// the node sent, `received` is empty and `sent` is true.  A receiving
+  /// node with no sending neighbor gets an empty span with `sent` false.
+  /// Under EngineConfig::duplex a sender also receives: `sent` is true AND
+  /// `received` holds its sending neighbors' messages.  Messages arrive in
+  /// ascending sender-id order (the model gives them no arrival order, so
+  /// the engine fixes a canonical one), or in a per-(receiver, round)
+  /// permutation of it under EngineConfig::anonymous.  The span dies with
+  /// the call.
   virtual void onDeliver(Round round, bool sent,
                          std::span<const Message> received) = 0;
-
-  /// True when the process consumes MessageRef spans natively, i.e. it
-  /// overrides onDeliverRefs.  The arena delivery path then skips
-  /// materializing a contiguous Message inbox for this node; otherwise it
-  /// copies the payloads into arena slots and calls onDeliver — the
-  /// compatibility shim that lets protocols migrate one at a time.  Keep
-  /// this in sync with the onDeliverRefs override: returning true without
-  /// overriding onDeliverRefs silently discards deliveries.
-  virtual bool wantsMessageRefs() const { return false; }
-
-  /// Zero-copy variant of onDeliver, called by the arena delivery path
-  /// instead of onDeliver when wantsMessageRefs() is true.  Refs (and the
-  /// payloads they point at) die with the call; a migrated protocol must
-  /// behave identically to its onDeliver on the same message sequence
-  /// (tests/fuzz_diff_test.cpp pins this differentially).
-  virtual void onDeliverRefs(Round round, bool sent,
-                             std::span<const MessageRef> received) {
-    (void)round;
-    (void)sent;
-    (void)received;
-  }
 
   /// Local termination: the node has produced its output.
   virtual bool done() const { return false; }
@@ -119,8 +90,8 @@ class ProcessFactory {
 
   /// Optional structure-of-arrays execution of the whole node vector
   /// (sim/soa.h).  The default — defined in soa.cpp, where SoAModel is
-  /// complete — returns null: the engine then materializes Processes even
-  /// under EngineConfig::soa_state.  An override must produce a model whose
+  /// complete — returns null: the factory-constructed engine then
+  /// materializes Processes.  An override must produce a model whose
   /// execution is byte-identical to the object path (pinned by
   /// tests/soa_state_test.cpp and the fuzz-diff/golden layers).
   virtual std::unique_ptr<SoAModel> createSoA(NodeId num_nodes) const;

@@ -1,9 +1,8 @@
-// Structure-of-arrays protocol state (EngineConfig::soa_state).
+// Structure-of-arrays protocol state.
 //
 // The object path gives every node a heap-allocated Process; at n = 10^5+
 // the per-node virtual dispatch and pointer-chasing layout dominate the
-// round loop (BENCH_sim_perf.json: arena delivery bought only 1.04x because
-// allocation stopped being the hot path — data layout is).  The SoA path
+// round loop (data layout, not allocation, is the hot path).  The SoA path
 // keeps protocol state in flat per-field arrays instead: one SoAModel per
 // engine owns columns like `has_token[n]` or `best_key[n]` that live inside
 // the EngineWorkspace's SoAStore, so BatchRunner trials reuse the capacity
@@ -11,8 +10,8 @@
 //
 // Contract (docs/ARCHITECTURE.md "SoA state store & many-worlds lanes"):
 //   * A protocol opts in by overriding ProcessFactory::createSoA.  The
-//     default returns null, which makes the engine fall back to the object
-//     path — soa_state is a no-op for protocols without a model.
+//     default returns null, which makes the factory-constructed engine
+//     fall back to the object path.
 //   * The SoA execution of a protocol must be byte-identical to its object
 //     execution: same actions, same RunResult, same stateDigest per node,
 //     same exported metrics.  tests/soa_state_test.cpp locksteps the two

@@ -30,7 +30,7 @@
 //   * compute: computeNode(v) writes only node v's columns, its action
 //     slot, and draws from node v's private coin stream — disjoint per
 //     worker by construction.  Send accounting stays a serial ascending
-//     pass after the join so counter updates land in the legacy order.
+//     pass after the join so counter updates land in object-path order.
 //   * delivery: a receiver mutates only its own columns; cross-node reads
 //     touch only *senders'* action payloads and state columns, and a sender
 //     receives nothing this round (send-xor-receive), so no worker writes
@@ -58,7 +58,7 @@ namespace dynet::sim {
 /// Send-side accounting shared by the object and SoA compute paths: budget
 /// check, global/per-node bit counters, and the bits_per_send histogram.
 /// Must run in ascending node order so histogram observations land in the
-/// legacy sequence.
+/// object-path sequence.
 inline void accountSentAction(RoundContext& ctx, RunResult& result, NodeId v,
                               const Action& a) {
   const auto idx = static_cast<std::size_t>(v);

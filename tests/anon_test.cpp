@@ -3,15 +3,13 @@
 //
 // The mode's contract:
 //
-//   * OFF — delivery order is the canonical ascending-sender order and
-//     MessageRef::sender carries real node ids: byte-identical to a build
-//     without the feature (the golden corpus pins this globally; the
-//     OrderProbe below pins the ordering locally);
+//   * OFF — delivery order is the canonical ascending-sender order:
+//     byte-identical to a build without the feature (the golden corpus
+//     pins this globally; the OrderProbe below pins the ordering locally);
 //   * ON — each receiver sees its inbox in a per-(receiver, round) seeded
-//     permutation and MessageRef::sender is just the port index 0..m-1;
-//     the payload MULTISET is untouched.  Both delivery paths (arena refs
-//     and the legacy copy-inbox) apply the same permutation, so the flag
-//     matrix stays byte-identical to itself.
+//     permutation: a message's position is its port, and the payload
+//     MULTISET is untouched.  The engine and the reference simulator
+//     (tests/reference_sim.h) apply the same permutation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,6 +26,7 @@
 #include "sim/engine.h"
 #include "sim/message.h"
 #include "util/rng.h"
+#include "reference_sim.h"
 
 namespace dynet::sim {
 namespace {
@@ -35,13 +34,12 @@ namespace {
 // ------------------------------------------------------------- OrderProbe
 
 /// Sends its node id on even (id+round) parity, otherwise listens and
-/// records exactly what the engine delivered: the MessageRef sender fields
-/// and the node ids embedded in the payloads, in delivery order.
+/// records exactly what the engine delivered: the node ids embedded in the
+/// payloads, in delivery (port) order.
 class OrderProbeProcess : public Process {
  public:
   struct Record {
     Round round;
-    std::vector<NodeId> senders;   // MessageRef::sender as delivered
     std::vector<NodeId> payloads;  // node id each payload claims
   };
 
@@ -58,26 +56,8 @@ class OrderProbeProcess : public Process {
     return action;
   }
 
-  bool wantsMessageRefs() const override { return true; }
-
-  void onDeliverRefs(Round round, bool sent,
-                     std::span<const MessageRef> received) override {
-    if (sent) {
-      return;
-    }
-    Record rec;
-    rec.round = round;
-    for (const MessageRef& ref : received) {
-      rec.senders.push_back(ref.sender);
-      MessageReader reader(*ref);
-      rec.payloads.push_back(static_cast<NodeId>(reader.get(16)));
-    }
-    records.push_back(std::move(rec));
-  }
-
   void onDeliver(Round round, bool sent,
                  std::span<const Message> received) override {
-    // Legacy path: senders are not visible, payloads still are.
     if (sent) {
       return;
     }
@@ -108,24 +88,35 @@ struct ProbeRun {
   std::vector<std::vector<OrderProbeProcess::Record>> by_node;
 };
 
-ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous,
-                  bool arena) {
-  const OrderProbeFactory factory;
-  std::vector<std::unique_ptr<Process>> processes;
-  std::vector<OrderProbeProcess*> probes;
-  for (NodeId v = 0; v < n; ++v) {
-    auto p = std::make_unique<OrderProbeProcess>(v);
-    probes.push_back(p.get());
-    processes.push_back(std::move(p));
+ProbeRun probesOf(const std::vector<std::unique_ptr<Process>>& processes) {
+  ProbeRun run;
+  for (const auto& p : processes) {
+    run.by_node.push_back(
+        dynamic_cast<const OrderProbeProcess&>(*p).records);
   }
+  return run;
+}
+
+EngineConfig probeConfig(Round rounds, bool anonymous) {
   EngineConfig config;
   config.max_rounds = rounds;
   config.stop_when_all_done = false;
   config.anonymous = anonymous;
-  config.arena_delivery = arena;
+  return config;
+}
+
+ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed,
+                  bool anonymous) {
+  const OrderProbeFactory factory;
+  std::vector<std::unique_ptr<Process>> processes =
+      ref::createProcesses(factory, n);
+  std::vector<OrderProbeProcess*> probes;
+  for (const auto& p : processes) {
+    probes.push_back(static_cast<OrderProbeProcess*>(p.get()));
+  }
   Engine engine(std::move(processes),
                 std::make_unique<adv::StaticAdversary>(net::makeClique(n)),
-                config, seed);
+                probeConfig(rounds, anonymous), seed);
   engine.run();
   ProbeRun run;
   for (OrderProbeProcess* probe : probes) {
@@ -134,25 +125,30 @@ ProbeRun runProbe(NodeId n, Round rounds, std::uint64_t seed, bool anonymous,
   return run;
 }
 
-TEST(AnonymousMode, OffDeliversAscendingRealSenders) {
-  const ProbeRun run = runProbe(8, 12, 7, /*anonymous=*/false, /*arena=*/true);
+TEST(AnonymousMode, OffDeliversAscendingSenders) {
+  const NodeId n = 8;
+  const ProbeRun run = runProbe(n, 12, 7, /*anonymous=*/false);
   int checked = 0;
   for (const auto& records : run.by_node) {
     for (const auto& rec : records) {
-      ASSERT_EQ(rec.senders.size(), rec.payloads.size());
-      EXPECT_TRUE(std::is_sorted(rec.senders.begin(), rec.senders.end()))
-          << "round " << rec.round;
-      // Without anonymity the ref sender IS the payload's author.
-      EXPECT_EQ(rec.senders, rec.payloads) << "round " << rec.round;
-      checked += static_cast<int>(rec.senders.size());
+      // On the clique a receiver hears every node of the other parity,
+      // in ascending id order.
+      std::vector<NodeId> expected;
+      for (NodeId u = 0; u < n; ++u) {
+        if ((static_cast<int>(u) + rec.round) % 2 == 0) {
+          expected.push_back(u);
+        }
+      }
+      EXPECT_EQ(rec.payloads, expected) << "round " << rec.round;
+      checked += static_cast<int>(rec.payloads.size());
     }
   }
   EXPECT_GT(checked, 0);
 }
 
-TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
-  const ProbeRun plain = runProbe(8, 12, 7, false, true);
-  const ProbeRun anon = runProbe(8, 12, 7, true, true);
+TEST(AnonymousMode, OnPermutesPayloadsAcrossPorts) {
+  const ProbeRun plain = runProbe(8, 12, 7, false);
+  const ProbeRun anon = runProbe(8, 12, 7, true);
   ASSERT_EQ(plain.by_node.size(), anon.by_node.size());
   bool saw_permutation = false;
   for (std::size_t v = 0; v < anon.by_node.size(); ++v) {
@@ -160,10 +156,6 @@ TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
     for (std::size_t i = 0; i < anon.by_node[v].size(); ++i) {
       const auto& a = anon.by_node[v][i];
       const auto& p = plain.by_node[v][i];
-      // Senders are port indices 0..m-1, nothing else.
-      for (std::size_t j = 0; j < a.senders.size(); ++j) {
-        EXPECT_EQ(a.senders[j], static_cast<NodeId>(j));
-      }
       // Same multiset of payloads as the non-anonymous run...
       auto sorted_a = a.payloads;
       auto sorted_p = p.payloads;
@@ -179,23 +171,30 @@ TEST(AnonymousMode, OnDeliversPortNumbersAndPermutedPayloads) {
          "leaking the canonical order";
 }
 
-TEST(AnonymousMode, ArenaAndLegacyPathsApplyTheSamePermutation) {
-  const ProbeRun arena = runProbe(8, 12, 21, true, true);
-  const ProbeRun legacy = runProbe(8, 12, 21, true, false);
-  ASSERT_EQ(arena.by_node.size(), legacy.by_node.size());
-  for (std::size_t v = 0; v < arena.by_node.size(); ++v) {
-    ASSERT_EQ(arena.by_node[v].size(), legacy.by_node[v].size());
-    for (std::size_t i = 0; i < arena.by_node[v].size(); ++i) {
-      EXPECT_EQ(arena.by_node[v][i].payloads, legacy.by_node[v][i].payloads)
+TEST(AnonymousMode, EngineAndReferenceApplyTheSamePermutation) {
+  const NodeId n = 8;
+  const ProbeRun engine = runProbe(n, 12, 21, true);
+  const ProbeRun reference = probesOf(
+      ref::runReference(OrderProbeFactory(),
+                        std::make_unique<adv::StaticAdversary>(
+                            net::makeClique(n)),
+                        probeConfig(12, true), 21)
+          .processes);
+  ASSERT_EQ(engine.by_node.size(), reference.by_node.size());
+  for (std::size_t v = 0; v < engine.by_node.size(); ++v) {
+    ASSERT_EQ(engine.by_node[v].size(), reference.by_node[v].size());
+    for (std::size_t i = 0; i < engine.by_node[v].size(); ++i) {
+      EXPECT_EQ(engine.by_node[v][i].payloads,
+                reference.by_node[v][i].payloads)
           << "node " << v << " record " << i;
     }
   }
 }
 
 TEST(AnonymousMode, PermutationIsSeededPerReceiverAndRound) {
-  const ProbeRun a = runProbe(8, 12, 100, true, true);
-  const ProbeRun b = runProbe(8, 12, 100, true, true);
-  const ProbeRun c = runProbe(8, 12, 101, true, true);
+  const ProbeRun a = runProbe(8, 12, 100, true);
+  const ProbeRun b = runProbe(8, 12, 100, true);
+  const ProbeRun c = runProbe(8, 12, 101, true);
   // Same seed: bit-for-bit reproducible.
   for (std::size_t v = 0; v < a.by_node.size(); ++v) {
     for (std::size_t i = 0; i < a.by_node[v].size(); ++i) {
@@ -272,24 +271,27 @@ TEST(AnonSizeEstimate, PhaseLocatorDoublesPhaseLengths) {
 // ---------------------------------------------- engine/campaign integration
 
 TEST(AnonymousMode, SoAStateIsGatedOffButResultsMatch) {
-  // soa_state + anonymous must take the object path (ports shuffle per
-  // receiver, which the SoA lanes do not model) and produce the same run
-  // as an explicit soa_state=false engine.
+  // Anonymous factory engines must take the object path (ports shuffle per
+  // receiver, which the SoA models do not model) and produce the same run
+  // as an explicit process-vector engine.
   const NodeId n = 10;
-  const auto run = [&](bool soa) {
-    proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
-                                0);
+  proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic, 0);
+  const auto run = [&](bool from_factory) {
     EngineConfig config;
     config.max_rounds = 64;
     config.anonymous = true;
-    config.soa_state = soa;
-    Engine engine(factory,
-                  std::make_unique<adv::StaticAdversary>(net::makePath(n)),
-                  config, 0xF10);
-    const RunResult r = engine.run();
+    auto adversary = std::make_unique<adv::StaticAdversary>(net::makePath(n));
+    auto engine = from_factory
+                      ? std::make_unique<Engine>(factory, std::move(adversary),
+                                                 config, 0xF10)
+                      : std::make_unique<Engine>(
+                            ref::createProcesses(factory, n),
+                            std::move(adversary), config, 0xF10);
+    EXPECT_FALSE(engine->soaActive());
+    const RunResult r = engine->run();
     std::vector<std::uint64_t> digests;
     for (NodeId v = 0; v < n; ++v) {
-      digests.push_back(engine.stateDigest(v));
+      digests.push_back(engine->stateDigest(v));
     }
     return std::make_pair(r.messages_sent, digests);
   };

@@ -37,6 +37,7 @@
 #include "sim/engine.h"
 #include "util/check.h"
 #include "util/rng.h"
+#include "reference_sim.h"
 #include "scratch_path.h"
 
 namespace dynet::dataset {
@@ -397,6 +398,10 @@ struct ReplayArtifacts {
   std::vector<std::uint64_t> digests;
 };
 
+/// A flood replay of `trace` through the engine, which offers every round
+/// to TraceAdversary::topologyUpdate (the delta path), or through the
+/// reference simulator, which calls topology() every round (the rebuild
+/// path).
 ReplayArtifacts replayRun(std::shared_ptr<const CompiledTrace> trace,
                           adv::TraceReplayOptions options, sim::Round rounds,
                           std::uint64_t seed, bool deltas) {
@@ -404,12 +409,14 @@ ReplayArtifacts replayRun(std::shared_ptr<const CompiledTrace> trace,
                                     proto::FloodMode::kDeterministic, 0);
   sim::EngineConfig config;
   config.max_rounds = rounds;
-  config.topology_deltas = deltas;
-  config.arena_delivery = deltas;
   config.stop_when_all_done = false;
-  sim::Engine engine(factory,
-                     std::make_unique<adv::TraceAdversary>(trace, options),
-                     config, seed);
+  auto adversary = std::make_unique<adv::TraceAdversary>(trace, options);
+  if (!deltas) {
+    ref::ReferenceRun run = ref::runReference(factory, std::move(adversary),
+                                              config, seed);
+    return {std::move(run.result), std::move(run.digests)};
+  }
+  sim::Engine engine(factory, std::move(adversary), config, seed);
   ReplayArtifacts artifacts;
   artifacts.result = engine.run();
   for (sim::NodeId v = 0; v < trace->num_nodes; ++v) {

@@ -1,7 +1,6 @@
 // Property-based round-bound layer for the diameter protocol suite
-// (docs/DIAMETER.md): on randomized connected static graphs, across seeds,
-// sizes, and the full {soa_state, arena_delivery, topology_deltas} engine
-// matrix (all under EngineConfig::duplex),
+// (docs/DIAMETER.md): on randomized connected static graphs, across seeds
+// and sizes (all under EngineConfig::duplex),
 //
 //   diam_exact     reproduces the all-pairs BFS oracle exactly — diameter,
 //                  per-node eccentricities, per-source distances, and the
@@ -83,18 +82,14 @@ Oracle oracleFor(const net::Graph& g) {
   return o;
 }
 
-/// Runs `factory` on the static graph under duplex with the given engine
-/// flags and hands the finished engine to `inspect`.
+/// Runs `factory` on the static graph under duplex and hands the finished
+/// engine to `inspect`.
 template <typename Inspect>
 void runDiam(const sim::ProcessFactory& factory, net::GraphPtr g,
-             sim::Round max_rounds, std::uint64_t seed, bool soa, bool arena,
-             bool deltas, Inspect&& inspect) {
+             sim::Round max_rounds, std::uint64_t seed, Inspect&& inspect) {
   sim::EngineConfig config;
   config.max_rounds = max_rounds;
   config.duplex = true;
-  config.soa_state = soa;
-  config.arena_delivery = arena;
-  config.topology_deltas = deltas;
   sim::Engine engine(factory,
                      std::make_unique<adv::StaticAdversary>(std::move(g)),
                      config, seed);
@@ -105,7 +100,7 @@ void runDiam(const sim::ProcessFactory& factory, net::GraphPtr g,
 constexpr sim::NodeId kSizes[] = {8, 17, 24};
 constexpr std::uint64_t kSeeds[] = {1, 2, 3};
 
-TEST(DiamExact, MatchesOracleAcrossSeedsSizesAndEngineMatrix) {
+TEST(DiamExact, MatchesOracleAcrossSeedsAndSizes) {
   proto::DiamExactFactory factory;
   for (const sim::NodeId n : kSizes) {
     const sim::Round bound = proto::DiamExactProcess::scheduleRounds(n);
@@ -117,33 +112,29 @@ TEST(DiamExact, MatchesOracleAcrossSeedsSizesAndEngineMatrix) {
       for (sim::NodeId s = 0; s < n; ++s) {
         dist.push_back(net::bfsDistances(*g, s));
       }
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
-                [&](sim::Engine& engine, const sim::RunResult& r) {
-                  ASSERT_TRUE(r.all_done)
-                      << "n=" << n << " seed=" << seed << " combo=" << combo;
-                  EXPECT_LE(r.all_done_round, bound);
-                  for (sim::NodeId v = 0; v < n; ++v) {
-                    const auto& p =
-                        dynamic_cast<const proto::DiamExactProcess&>(
-                            engine.process(v));
-                    EXPECT_EQ(p.output(),
-                              static_cast<std::uint64_t>(oracle.diameter))
-                        << "node " << v << " n=" << n << " seed=" << seed;
-                    EXPECT_EQ(p.eccentricity(),
-                              oracle.ecc[static_cast<std::size_t>(v)])
-                        << "node " << v;
-                    EXPECT_EQ(p.argmaxNode(), oracle.argmax) << "node " << v;
-                    for (sim::NodeId s = 0; s < n; ++s) {
-                      EXPECT_EQ(p.distanceTo(s),
-                                dist[static_cast<std::size_t>(s)]
-                                    [static_cast<std::size_t>(v)])
-                          << "node " << v << " source " << s;
-                    }
+      runDiam(factory, g, bound + 4, seed,
+              [&](sim::Engine& engine, const sim::RunResult& r) {
+                ASSERT_TRUE(r.all_done) << "n=" << n << " seed=" << seed;
+                EXPECT_LE(r.all_done_round, bound);
+                for (sim::NodeId v = 0; v < n; ++v) {
+                  const auto& p =
+                      dynamic_cast<const proto::DiamExactProcess&>(
+                          engine.process(v));
+                  EXPECT_EQ(p.output(),
+                            static_cast<std::uint64_t>(oracle.diameter))
+                      << "node " << v << " n=" << n << " seed=" << seed;
+                  EXPECT_EQ(p.eccentricity(),
+                            oracle.ecc[static_cast<std::size_t>(v)])
+                      << "node " << v;
+                  EXPECT_EQ(p.argmaxNode(), oracle.argmax) << "node " << v;
+                  for (sim::NodeId s = 0; s < n; ++s) {
+                    EXPECT_EQ(p.distanceTo(s),
+                              dist[static_cast<std::size_t>(s)]
+                                  [static_cast<std::size_t>(v)])
+                        << "node " << v << " source " << s;
                   }
-                });
-      }
+                }
+              });
     }
   }
 }
@@ -156,23 +147,19 @@ TEST(Diam2Approx, EstimateIsSourceEccentricityAndBracketsDiameter) {
     for (const std::uint64_t seed : kSeeds) {
       const net::GraphPtr g = randomConnectedGraph(n, seed);
       const Oracle oracle = oracleFor(*g);
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
-                [&](sim::Engine& engine, const sim::RunResult& r) {
-                  ASSERT_TRUE(r.all_done)
-                      << "n=" << n << " seed=" << seed << " combo=" << combo;
-                  EXPECT_LE(r.all_done_round, bound);
-                  const auto ecc0 = static_cast<std::uint64_t>(oracle.ecc[0]);
-                  for (sim::NodeId v = 0; v < n; ++v) {
-                    const std::uint64_t est = engine.process(v).output();
-                    EXPECT_EQ(est, ecc0) << "node " << v;
-                    EXPECT_LE(est, static_cast<std::uint64_t>(oracle.diameter));
-                    EXPECT_GE(2 * est,
-                              static_cast<std::uint64_t>(oracle.diameter));
-                  }
-                });
-      }
+      runDiam(factory, g, bound + 4, seed,
+              [&](sim::Engine& engine, const sim::RunResult& r) {
+                ASSERT_TRUE(r.all_done) << "n=" << n << " seed=" << seed;
+                EXPECT_LE(r.all_done_round, bound);
+                const auto ecc0 = static_cast<std::uint64_t>(oracle.ecc[0]);
+                for (sim::NodeId v = 0; v < n; ++v) {
+                  const std::uint64_t est = engine.process(v).output();
+                  EXPECT_EQ(est, ecc0) << "node " << v;
+                  EXPECT_LE(est, static_cast<std::uint64_t>(oracle.diameter));
+                  EXPECT_GE(2 * est,
+                            static_cast<std::uint64_t>(oracle.diameter));
+                }
+              });
     }
   }
 }
@@ -184,23 +171,19 @@ TEST(Diam32Approx, EstimateWithinTwoThirdsBracket) {
       proto::Diam32ApproxFactory factory(seed);
       const net::GraphPtr g = randomConnectedGraph(n, seed);
       const Oracle oracle = oracleFor(*g);
-      for (int combo = 0; combo < 8; ++combo) {
-        runDiam(factory, g, bound + 4, seed, (combo & 4) != 0,
-                (combo & 2) != 0, (combo & 1) != 0,
-                [&](sim::Engine& engine, const sim::RunResult& r) {
-                  ASSERT_TRUE(r.all_done)
-                      << "n=" << n << " seed=" << seed << " combo=" << combo;
-                  EXPECT_LE(r.all_done_round, bound);
-                  for (sim::NodeId v = 0; v < n; ++v) {
-                    const auto est =
-                        static_cast<int>(engine.process(v).output());
-                    EXPECT_LE(est, oracle.diameter) << "node " << v;
-                    EXPECT_GE(est, 2 * oracle.diameter / 3) << "node " << v;
-                    EXPECT_EQ(est, static_cast<int>(engine.process(0).output()))
-                        << "nodes must agree on D-hat";
-                  }
-                });
-      }
+      runDiam(factory, g, bound + 4, seed,
+              [&](sim::Engine& engine, const sim::RunResult& r) {
+                ASSERT_TRUE(r.all_done) << "n=" << n << " seed=" << seed;
+                EXPECT_LE(r.all_done_round, bound);
+                for (sim::NodeId v = 0; v < n; ++v) {
+                  const auto est =
+                      static_cast<int>(engine.process(v).output());
+                  EXPECT_LE(est, oracle.diameter) << "node " << v;
+                  EXPECT_GE(est, 2 * oracle.diameter / 3) << "node " << v;
+                  EXPECT_EQ(est, static_cast<int>(engine.process(0).output()))
+                      << "nodes must agree on D-hat";
+                }
+              });
     }
   }
 }
@@ -230,7 +213,7 @@ TEST(DiamExact, ReadsDisjointnessOffTheAchGadget) {
   for (const bool intersect : {false, true}) {
     const lb::AchBitGadget gadget(36, /*width=*/0, /*seed=*/5, intersect);
     const sim::Round bound = proto::DiamExactProcess::scheduleRounds(36);
-    runDiam(factory, gadget.graph(), bound + 4, 9, true, true, true,
+    runDiam(factory, gadget.graph(), bound + 4, 9,
             [&](sim::Engine& engine, const sim::RunResult& r) {
               ASSERT_TRUE(r.all_done);
               EXPECT_EQ(engine.process(0).output(),
@@ -246,7 +229,7 @@ TEST(DiamExact, ReadsOrthogonalityOffTheBkGadget) {
       const lb::BkApproxGadget gadget(36, /*width=*/0, stretch, /*seed=*/5,
                                       orthogonal);
       const sim::Round bound = proto::DiamExactProcess::scheduleRounds(36);
-      runDiam(factory, gadget.graph(), bound + 4, 9, true, true, true,
+      runDiam(factory, gadget.graph(), bound + 4, 9,
               [&](sim::Engine& engine, const sim::RunResult& r) {
                 ASSERT_TRUE(r.all_done);
                 EXPECT_EQ(engine.process(0).output(),

@@ -23,6 +23,7 @@
 #include "sim/runner.h"
 #include "sim/trace.h"
 #include "util/check.h"
+#include "reference_sim.h"
 
 namespace dynet {
 namespace {
@@ -543,14 +544,12 @@ TEST(ZeroPlanRegression, LeaderElectionIsByteIdentical) {
   }
 }
 
-// A node restarted mid-run must behave byte-identically on the arena
-// delivery + incremental-topology fast path and on the legacy
-// (vector-copy, full-rebuild) path: restart resets process state and
-// replays deliveries through whichever delivery buffers are active, which
-// is exactly where the two paths could drift.  Run the full flag matrix —
-// the same grid the fuzz-diff harness sweeps, pinned here on a scripted
-// restart so the coverage does not depend on the fuzzer's dice.
-TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
+// A node restarted mid-run must behave byte-identically in the engine and
+// in the naive reference simulator (tests/reference_sim.h): restart resets
+// process state while delivery buffers are live, which is exactly where an
+// optimized round loop could drift.  Pinned here on a scripted restart so
+// the coverage does not depend on the fuzz-diff harness's dice.
+TEST(RestartRegression, RestartMidRunMatchesReferenceExactly) {
   const sim::NodeId n = 10;
   const std::uint64_t seed = 2026;
   proto::FloodFactory factory(0, 0x33, 6, proto::FloodMode::kRandomized,
@@ -558,55 +557,42 @@ TEST(ArenaPathRegression, RestartMidRunMatchesLegacyPathExactly) {
   FaultConfig fc;
   fc.scripted_crashes = {{4, 3}, {7, 5}};
   fc.scripted_restarts = {{4, 7}, {7, 9}};
-  auto run = [&](bool arena, bool deltas) {
-    std::vector<std::unique_ptr<sim::Process>> processes;
-    for (sim::NodeId v = 0; v < n; ++v) {
-      processes.push_back(factory.create(v, n));
-    }
-    // Dense random graphs: the live subgraph stays connected through both
-    // crash windows (seed-pinned, so this holds deterministically).
-    auto adversary = std::make_unique<adv::RandomGraphAdversary>(n, 0.5, 11);
-    sim::EngineConfig config;
-    config.max_rounds = 20;
-    config.stop_when_all_done = false;
-    config.record_actions = true;
-    config.record_topologies = true;
-    config.arena_delivery = arena;
-    config.topology_deltas = deltas;
-    auto engine = std::make_unique<sim::Engine>(
-        std::move(processes), std::move(adversary), config, seed);
-    engine->setFaultInjector(injectorFor(n, fc, 55, &factory));
-    engine->run();
-    return engine;
-  };
-  const auto reference = run(false, false);  // legacy everything
-  const sim::RunResult& want = reference->result();
-  EXPECT_EQ(want.crashes, 2u);
-  EXPECT_EQ(want.restarts, 2u);
-  std::ostringstream want_trace;
-  sim::writeTrace(want_trace, sim::traceFromEngine(*reference));
-  for (const auto& [arena, deltas] :
-       {std::pair{true, true}, {true, false}, {false, true}}) {
-    const auto engine = run(arena, deltas);
-    const sim::RunResult& got = engine->result();
-    EXPECT_EQ(got.rounds_executed, want.rounds_executed);
-    EXPECT_EQ(got.done_round, want.done_round);
-    EXPECT_EQ(got.messages_sent, want.messages_sent);
-    EXPECT_EQ(got.bits_sent, want.bits_sent);
-    EXPECT_EQ(got.bits_per_node, want.bits_per_node);
-    EXPECT_EQ(got.bits_per_round, want.bits_per_round);
-    EXPECT_EQ(got.crashes, want.crashes);
-    EXPECT_EQ(got.restarts, want.restarts);
-    for (sim::NodeId v = 0; v < n; ++v) {
-      EXPECT_EQ(engine->process(v).stateDigest(),
-                reference->process(v).stateDigest())
-          << "node " << v << " arena=" << arena << " deltas=" << deltas;
-    }
-    std::ostringstream got_trace;
-    sim::writeTrace(got_trace, sim::traceFromEngine(*engine));
-    EXPECT_EQ(got_trace.str(), want_trace.str())
-        << "trace divergence at arena=" << arena << " deltas=" << deltas;
+  const auto injector = injectorFor(n, fc, 55, &factory);
+  sim::EngineConfig config;
+  config.max_rounds = 20;
+  config.stop_when_all_done = false;
+  config.record_actions = true;
+  config.record_topologies = true;
+  // Dense random graphs: the live subgraph stays connected through both
+  // crash windows (seed-pinned, so this holds deterministically).
+  sim::Engine engine(ref::createProcesses(factory, n),
+                     std::make_unique<adv::RandomGraphAdversary>(n, 0.5, 11),
+                     config, seed);
+  engine.setFaultInjector(injector);
+  const sim::RunResult got = engine.run();
+  const ref::ReferenceRun want = ref::runReference(
+      factory, std::make_unique<adv::RandomGraphAdversary>(n, 0.5, 11), config,
+      seed, injector);
+  EXPECT_EQ(want.result.crashes, 2u);
+  EXPECT_EQ(want.result.restarts, 2u);
+  EXPECT_EQ(got.rounds_executed, want.result.rounds_executed);
+  EXPECT_EQ(got.done_round, want.result.done_round);
+  EXPECT_EQ(got.messages_sent, want.result.messages_sent);
+  EXPECT_EQ(got.bits_sent, want.result.bits_sent);
+  EXPECT_EQ(got.bits_per_node, want.result.bits_per_node);
+  EXPECT_EQ(got.bits_per_round, want.result.bits_per_round);
+  EXPECT_EQ(got.crashes, want.result.crashes);
+  EXPECT_EQ(got.restarts, want.result.restarts);
+  for (sim::NodeId v = 0; v < n; ++v) {
+    EXPECT_EQ(engine.process(v).stateDigest(),
+              want.digests[static_cast<std::size_t>(v)])
+        << "node " << v;
   }
+  std::ostringstream got_trace;
+  sim::writeTrace(got_trace, sim::traceFromEngine(engine));
+  std::ostringstream want_trace;
+  sim::writeTrace(want_trace, want.trace);
+  EXPECT_EQ(got_trace.str(), want_trace.str());
 }
 
 // ---------------------------------------------------------------------------

@@ -1,17 +1,19 @@
-// Differential fuzz over the engine's dual hot paths.
+// Differential fuzz: the engine against the naive reference simulator.
 //
-// The arena delivery path, the incremental topology cache (PR: arena hot
-// path + topology deltas) and the structure-of-arrays state store (PR: SoA
-// state + many-worlds lanes) are required to be BYTE-IDENTICAL to the
-// legacy engine: same RunResult fields, same per-node state digests, same
-// serialized traces, same metrics.json — modulo the reserved metric
-// prefixes (`topology/`, `arena/`, `soa/`) that report how the work was
-// done rather than what the protocol did.
-//
-// This test samples random (adversary, protocol, fault-plan) configs from
-// a fixed master seed and runs each through all eight flag combinations of
-// {soa_state, arena_delivery, topology_deltas}, asserting every
-// combination matches the legacy (false, false, false) artifacts exactly.
+// The engine runs the model's round rule through optimized machinery: the
+// structure-of-arrays state store, the incremental topology cache
+// (Adversary::topologyUpdate), and a delivery loop that walks sorted CSR
+// rows.  tests/reference_sim.h runs the same rule the slow, obvious way.
+// Every sampled (adversary, protocol, fault plan, mode) config runs three
+// ways, and all three must be BYTE-IDENTICAL in RunResult fields, per-node
+// state digests and serialized traces:
+//   * the factory engine (the SoA model where the protocol has one and the
+//     mode allows it),
+//   * the process-vector engine (object processes),
+//   * the reference.
+// The two engines must also write the same metrics.json, modulo the
+// reserved `soa/` prefix that reports how the work was done rather than
+// what the protocol did.
 //
 // Budget: the default config count keeps the test inside the tier-1 ctest
 // `--quick` budget (a few seconds).  Set DYNET_FUZZ_CONFIGS=<count> to
@@ -46,6 +48,7 @@
 #include "sim/trace.h"
 #include "util/env.h"
 #include "util/rng.h"
+#include "reference_sim.h"
 
 namespace dynet::sim {
 namespace {
@@ -60,6 +63,7 @@ struct FuzzConfig {
   std::uint64_t adv_seed = 0;
   std::uint64_t run_seed = 0;
   bool with_sink = false;
+  bool anonymous = false;  // sampled only for send-xor-receive protocols
   bool faulty = false;
   faults::FaultConfig fc;
 };
@@ -109,8 +113,7 @@ std::unique_ptr<Adversary> makeAdversary(const FuzzConfig& c) {
       // Dataset replay: a synthetic trace deliberately SHORTER than the run
       // (c.rounds/3) so every end policy wraps/clamps/mirrors mid-run, with
       // the policy and seeded round-offset drawn from adv_seed.  This pulls
-      // the whole dataset→TraceAdversary delta pipeline into the eight-combo
-      // flag matrix.
+      // the whole dataset→TraceAdversary delta pipeline under the fuzz.
       const sim::Round trace_rounds = std::max<sim::Round>(4, c.rounds / 3);
       auto trace = std::make_shared<const dataset::CompiledTrace>(
           dataset::randomTrace(c.n, trace_rounds,
@@ -181,11 +184,15 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
     c.fc.restart = rng.below(2) == 0;
     c.fc.restart_downtime = 8;
   }
+  // Anonymous ports (EngineConfig::anonymous) on a quarter of the
+  // send-xor-receive configs; the distance protocols run duplex, where the
+  // mode is not meaningful.
+  c.anonymous = c.protocol < 4 && rng.below(4) == 0;
   // Guaranteed crash-restart coverage: every fourth config exercises
-  // mid-run restarts regardless of the random draws above, so the
-  // arena-delivery flag matrix always sees a node whose state machine is
-  // torn down and re-created while arena inboxes are live
-  // (tests/faults_test.cpp pins a scripted instance of the same scenario).
+  // mid-run restarts regardless of the random draws above, so the fuzz
+  // always sees a node whose state machine is torn down and re-created
+  // mid-run (tests/faults_test.cpp pins a scripted instance of the same
+  // scenario).
   if (index % 4 == 1) {
     c.faulty = true;
     c.fc.crash_fraction = std::max(c.fc.crash_fraction, 0.25);
@@ -213,7 +220,8 @@ std::string describeConfig(const FuzzConfig& c, int index) {
   out << "config " << index << ": n=" << c.n << " rounds=" << c.rounds
       << " adversary=" << c.adversary << " protocol=" << c.protocol
       << " adv_seed=" << c.adv_seed << " run_seed=" << c.run_seed
-      << " sink=" << c.with_sink << " faulty=" << c.faulty;
+      << " sink=" << c.with_sink << " anonymous=" << c.anonymous
+      << " faulty=" << c.faulty;
   return out.str();
 }
 
@@ -221,41 +229,37 @@ struct TrialArtifacts {
   RunResult result;
   std::vector<std::uint64_t> digests;
   std::string trace;
-  std::string metrics_json;  // reserved-prefix lines already stripped
+  std::string metrics_json;  // engines only; reserved-prefix lines stripped
 
-  friend bool operator==(const TrialArtifacts& x, const TrialArtifacts& y) {
-    return x.result.rounds_executed == y.result.rounds_executed &&
-           x.result.all_done == y.result.all_done &&
-           x.result.all_done_round == y.result.all_done_round &&
-           x.result.done_round == y.result.done_round &&
-           x.result.messages_sent == y.result.messages_sent &&
-           x.result.bits_sent == y.result.bits_sent &&
-           x.result.bits_per_node == y.result.bits_per_node &&
-           x.result.max_bits_per_node == y.result.max_bits_per_node &&
-           x.result.bits_per_round == y.result.bits_per_round &&
-           x.result.crashes == y.result.crashes &&
-           x.result.restarts == y.result.restarts &&
-           x.result.messages_dropped == y.result.messages_dropped &&
-           x.result.messages_corrupted == y.result.messages_corrupted &&
-           x.digests == y.digests && x.trace == y.trace &&
-           x.metrics_json == y.metrics_json;
+  /// Everything but metrics_json, which the reference does not produce.
+  bool sameRun(const TrialArtifacts& y) const {
+    const RunResult& a = result;
+    const RunResult& b = y.result;
+    return a.rounds_executed == b.rounds_executed &&
+           a.all_done == b.all_done && a.all_done_round == b.all_done_round &&
+           a.done_round == b.done_round &&
+           a.messages_sent == b.messages_sent && a.bits_sent == b.bits_sent &&
+           a.bits_per_node == b.bits_per_node &&
+           a.max_bits_per_node == b.max_bits_per_node &&
+           a.bits_per_round == b.bits_per_round && a.crashes == b.crashes &&
+           a.restarts == b.restarts &&
+           a.messages_dropped == b.messages_dropped &&
+           a.messages_corrupted == b.messages_corrupted &&
+           digests == y.digests && trace == y.trace;
   }
 };
 
-/// Drops every line mentioning a reserved-prefix metric.  `topology/`,
-/// `arena/` and `soa/` report which hot path executed (delta hit rates,
-/// arena high water marks, stride-worker shape) and are the ONLY metrics
-/// allowed to differ between the legacy and optimized engines.  All paths
-/// register the same protocol-level names, so stripping is symmetric and
-/// the remainders stay comparable.
+/// Drops every line mentioning a reserved-prefix metric.  `soa/` reports
+/// which state representation and worker shape executed, and is the ONLY
+/// metric family allowed to differ between the SoA and object engines.
+/// Both register the same protocol-level names, so stripping is symmetric
+/// and the remainders stay comparable.
 std::string stripReservedMetrics(const std::string& json) {
   std::istringstream in(json);
   std::ostringstream out;
   std::string line;
   while (std::getline(in, line)) {
-    if (line.find("\"topology/") != std::string::npos ||
-        line.find("\"arena/") != std::string::npos ||
-        line.find("\"soa/") != std::string::npos) {
+    if (line.find("\"soa/") != std::string::npos) {
       continue;
     }
     out << line << '\n';
@@ -263,10 +267,7 @@ std::string stripReservedMetrics(const std::string& json) {
   return out.str();
 }
 
-TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
-                         bool arena_delivery, bool topology_deltas) {
-  const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
-  obs::MetricsSink sink;
+EngineConfig fuzzEngineConfig(const FuzzConfig& c) {
   EngineConfig config;
   config.max_rounds = c.rounds;
   config.record_topologies = true;
@@ -275,29 +276,49 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
   // Random crash schedules on random topologies routinely disconnect the
   // live subgraph; the fuzzer compares implementations on arbitrary
   // inputs, it does not certify model validity — so the model's
-  // connectivity guard is off here (and off identically on both paths).
+  // connectivity guard is off here (and off identically on every path).
   config.check_connectivity = false;
-  // Distance protocols are specified in full-duplex broadcast CONGEST;
-  // the flag must be identical on both sides of every comparison.
+  // Distance protocols are specified in full-duplex broadcast CONGEST.
   config.duplex = c.protocol >= 4;
+  config.anonymous = c.anonymous;
+  return config;
+}
+
+std::shared_ptr<const faults::FaultInjector> fuzzInjector(
+    const FuzzConfig& c, const ProcessFactory& factory) {
+  if (!c.faulty) {
+    return nullptr;
+  }
+  return std::make_shared<const faults::FaultInjector>(
+      faults::FaultPlan(c.n, c.fc, c.run_seed * 0x9E3779B97F4A7C15ULL + 0xFA),
+      &factory);
+}
+
+std::string serializedTrace(const Trace& trace) {
+  std::ostringstream out;
+  writeTrace(out, trace);
+  return out.str();
+}
+
+/// One engine run: the factory constructor when `objects` is false, the
+/// process-vector constructor when it is true.
+TrialArtifacts runEngine(const FuzzConfig& c, bool objects) {
+  const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
+  obs::MetricsSink sink;
+  EngineConfig config = fuzzEngineConfig(c);
   config.metrics = c.with_sink ? &sink : nullptr;
-  config.soa_state = soa_state;
-  config.arena_delivery = arena_delivery;
-  config.topology_deltas = topology_deltas;
-  Engine engine(*factory, makeAdversary(c), config, c.run_seed);
-  if (c.faulty) {
-    engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
-        faults::FaultPlan(c.n, c.fc, c.run_seed * 0x9E3779B97F4A7C15ULL + 0xFA),
-        factory.get()));
-  }
+  std::unique_ptr<Engine> engine =
+      objects ? std::make_unique<Engine>(ref::createProcesses(*factory, c.n),
+                                         makeAdversary(c), config, c.run_seed)
+              : std::make_unique<Engine>(*factory, makeAdversary(c), config,
+                                         c.run_seed);
+  engine->setFaultInjector(fuzzInjector(c, *factory));
   TrialArtifacts artifacts;
-  artifacts.result = engine.run();
+  artifacts.result = engine->run();
   for (NodeId v = 0; v < c.n; ++v) {
-    artifacts.digests.push_back(engine.stateDigest(v));
+    artifacts.digests.push_back(engine->stateDigest(v));
   }
-  std::ostringstream trace;
-  writeTrace(trace, traceFromEngine(engine));
-  artifacts.trace = trace.str();
+  artifacts.trace = serializedTrace(traceFromEngine(*engine));
   if (c.with_sink) {
     std::ostringstream json;
     sink.registry.writeJson(json);
@@ -306,34 +327,40 @@ TrialArtifacts runConfig(const FuzzConfig& c, bool soa_state,
   return artifacts;
 }
 
-int configCount() {
-  // Unset: the --quick budget (a few seconds of tier-1 ctest time).
-  // Set-but-garbage fails loudly instead of silently fuzzing 24 configs —
-  // an overnight DYNET_FUZZ_CONFIGS=5OO run must not quietly do nothing.
-  return static_cast<int>(
-      util::envInt("DYNET_FUZZ_CONFIGS", 24, 1, 100'000'000));
+TrialArtifacts runReferenceConfig(const FuzzConfig& c) {
+  const std::unique_ptr<ProcessFactory> factory = makeFactory(c);
+  ref::ReferenceRun run =
+      ref::runReference(*factory, makeAdversary(c), fuzzEngineConfig(c),
+                        c.run_seed, fuzzInjector(c, *factory));
+  TrialArtifacts artifacts;
+  artifacts.result = std::move(run.result);
+  artifacts.digests = std::move(run.digests);
+  artifacts.trace = serializedTrace(run.trace);
+  return artifacts;
 }
 
-TEST(FuzzDiff, OptimizedPathsMatchLegacyByteForByte) {
+int configCount() {
+  // Unset: the --quick budget (a few seconds of tier-1 ctest time).
+  // Set-but-garbage fails loudly instead of silently fuzzing 100 configs —
+  // an overnight DYNET_FUZZ_CONFIGS=5OO run must not quietly do nothing.
+  return static_cast<int>(
+      util::envInt("DYNET_FUZZ_CONFIGS", 100, 1, 100'000'000));
+}
+
+TEST(FuzzDiff, EnginePathsMatchReferenceByteForByte) {
   const std::uint64_t master_seed = 0xF02Dull;
   const int count = configCount();
   for (int i = 0; i < count; ++i) {
     const FuzzConfig c = sampleConfig(master_seed, i);
-    const TrialArtifacts legacy = runConfig(c, false, false, false);
-    // All seven non-legacy combinations of {soa_state, arena_delivery,
-    // topology_deltas} — the shipping default (true, true, true) plus every
-    // partial engine, so a regression in any subsystem is attributed to the
-    // right flag.
-    for (int combo = 1; combo < 8; ++combo) {
-      const bool soa = (combo & 4) != 0;
-      const bool arena = (combo & 2) != 0;
-      const bool deltas = (combo & 1) != 0;
-      const TrialArtifacts other = runConfig(c, soa, arena, deltas);
-      EXPECT_TRUE(legacy == other)
-          << describeConfig(c, i) << " [soa_state=" << soa
-          << " arena_delivery=" << arena << " topology_deltas=" << deltas
-          << "]";
-    }
+    const TrialArtifacts reference = runReferenceConfig(c);
+    const TrialArtifacts factory_engine = runEngine(c, /*objects=*/false);
+    const TrialArtifacts object_engine = runEngine(c, /*objects=*/true);
+    EXPECT_TRUE(factory_engine.sameRun(reference))
+        << describeConfig(c, i) << " [factory engine vs reference]";
+    EXPECT_TRUE(object_engine.sameRun(reference))
+        << describeConfig(c, i) << " [process-vector engine vs reference]";
+    EXPECT_EQ(factory_engine.metrics_json, object_engine.metrics_json)
+        << describeConfig(c, i) << " [metrics.json, factory vs objects]";
     if (HasFailure()) {
       break;  // one reproducible config is enough to debug
     }
@@ -347,12 +374,12 @@ TEST(FuzzDiff, ReservedMetricStripping) {
       "{\n"
       "    \"engine/rounds\": 5,\n"
       "    \"topology/full_builds\": 5,\n"
-      "    \"arena/refs_high_water\": 12,\n"
       "    \"soa//active\": 1,\n"
       "    \"flood/has_token\": 1\n"
       "}\n";
   EXPECT_EQ(stripReservedMetrics(json),
-            "{\n    \"engine/rounds\": 5,\n    \"flood/has_token\": 1\n}\n");
+            "{\n    \"engine/rounds\": 5,\n    \"topology/full_builds\": 5,"
+            "\n    \"flood/has_token\": 1\n}\n");
 }
 
 }  // namespace

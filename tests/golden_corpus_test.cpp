@@ -7,11 +7,14 @@
 // digest of the serialized trace — are written as key=value lines and
 // compared byte-for-byte against `tests/golden/<name>.golden`.
 //
-// Unlike the differential fuzz test (which compares two engine paths
-// against each other and so would miss a bug that breaks both the same
-// way), the corpus pins today's behaviour against the repository history:
-// any engine, protocol, adversary, or trace-format change that shifts a
-// canonical run fails here with a readable key-level diff.
+// Unlike the differential fuzz test (which compares the engine against the
+// reference simulator and so would miss a bug shared by both), the corpus
+// pins today's behaviour against the repository history: any engine,
+// protocol, adversary, or trace-format change that shifts a canonical run
+// fails here with a readable key-level diff.  Each canonical run is
+// rendered twice — by the engine and by the naive reference simulator
+// (tests/reference_sim.h) — and both renderings must equal the same
+// .golden file.
 //
 // Regenerate intentionally with scripts/regen_golden.sh (which runs this
 // binary with DYNET_REGEN_GOLDEN=1) and commit the .golden diff alongside
@@ -52,6 +55,7 @@
 #include "sim/engine.h"
 #include "sim/trace.h"
 #include "util/rng.h"
+#include "reference_sim.h"
 
 #ifndef DYNET_GOLDEN_DIR
 #error "DYNET_GOLDEN_DIR must point at tests/golden"
@@ -84,7 +88,9 @@ std::string joined(const std::vector<T>& xs) {
 /// The canonical artifact rendering: stable key=value lines, one per
 /// field, so a golden mismatch reads as a field-level diff in gtest
 /// output rather than an opaque hash flip.
-std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r) {
+std::string renderArtifacts(const sim::RunResult& r,
+                            const std::vector<std::uint64_t>& digests,
+                            const sim::Trace& run_trace) {
   std::ostringstream out;
   out << "rounds_executed=" << r.rounds_executed << "\n";
   out << "all_done=" << (r.all_done ? 1 : 0) << "\n";
@@ -100,12 +106,12 @@ std::string renderArtifacts(sim::Engine& engine, const sim::RunResult& r) {
   out << "messages_dropped=" << r.messages_dropped << "\n";
   out << "messages_corrupted=" << r.messages_corrupted << "\n";
   std::uint64_t state = 1469598103934665603ull;
-  for (sim::NodeId v = 0; v < engine.numNodes(); ++v) {
-    state = util::hashCombine(state, engine.stateDigest(v));
+  for (const std::uint64_t digest : digests) {
+    state = util::hashCombine(state, digest);
   }
   out << "state_digest=" << state << "\n";
   std::ostringstream trace;
-  sim::writeTrace(trace, sim::traceFromEngine(engine));
+  sim::writeTrace(trace, run_trace);
   out << "trace_fnv1a=" << fnv1a(trace.str()) << "\n";
   return out.str();
 }
@@ -119,34 +125,65 @@ sim::EngineConfig canonicalConfig(sim::Round rounds) {
   return config;
 }
 
-std::string runCanonical(const sim::ProcessFactory& factory,
-                         std::unique_ptr<sim::Adversary> adversary,
-                         sim::Round rounds, std::uint64_t seed,
-                         const faults::FaultConfig* fc = nullptr,
-                         bool duplex = false) {
+/// A maker of fresh adversaries built from copies of `args`: the engine and
+/// the reference each need their own adversary for the same canonical run.
+template <typename A, typename... Args>
+auto freshAdversary(Args... args) {
+  return [=] { return std::make_unique<A>(args...); };
+}
+
+/// One canonical run rendered by the engine and by the reference.
+struct Rendered {
+  std::string engine;
+  std::string reference;
+};
+
+/// `make_adversary` is called twice: each simulator gets a fresh adversary.
+template <typename MakeAdversary>
+Rendered runCanonical(const sim::ProcessFactory& factory,
+                      MakeAdversary make_adversary, sim::Round rounds,
+                      std::uint64_t seed,
+                      const faults::FaultConfig* fc = nullptr,
+                      bool duplex = false) {
+  std::unique_ptr<sim::Adversary> adversary = make_adversary();
   const sim::NodeId n = adversary->numNodes();
-  // Factory construction takes the shipping default path (soa_state ON for
-  // factories with an SoA model), so the .golden files pin the SoA engine
-  // against the repository history, not just the legacy object path.
+  std::shared_ptr<const faults::FaultInjector> injector;
+  if (fc != nullptr) {
+    injector = std::make_shared<const faults::FaultInjector>(
+        faults::FaultPlan(n, *fc, seed ^ 0xFA), &factory);
+  }
+  // Factory construction takes the SoA model where one exists, so the
+  // .golden files pin the SoA engine against the repository history and
+  // the reference pins the object semantics.
   sim::EngineConfig config = canonicalConfig(rounds);
   config.duplex = duplex;
   sim::Engine engine(factory, std::move(adversary), config, seed);
-  if (fc != nullptr) {
-    engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
-        faults::FaultPlan(n, *fc, seed ^ 0xFA), &factory));
-  }
+  engine.setFaultInjector(injector);
   const sim::RunResult r = engine.run();
-  return renderArtifacts(engine, r);
+  std::vector<std::uint64_t> digests;
+  for (sim::NodeId v = 0; v < n; ++v) {
+    digests.push_back(engine.stateDigest(v));
+  }
+  Rendered rendered;
+  rendered.engine = renderArtifacts(r, digests, sim::traceFromEngine(engine));
+  const ref::ReferenceRun reference =
+      ref::runReference(factory, make_adversary(), config, seed, injector);
+  rendered.reference =
+      renderArtifacts(reference.result, reference.digests, reference.trace);
+  return rendered;
 }
 
-/// Compares `rendered` against DYNET_GOLDEN_DIR/<name>.golden, or rewrites
-/// the file when DYNET_REGEN_GOLDEN is set.
-void expectGolden(const std::string& name, const std::string& rendered) {
+/// Compares both renderings against DYNET_GOLDEN_DIR/<name>.golden, or
+/// rewrites the file from the engine rendering when DYNET_REGEN_GOLDEN is
+/// set (the reference is then still checked against the engine).
+void expectGolden(const std::string& name, const Rendered& rendered) {
   const std::string path = std::string(DYNET_GOLDEN_DIR) + "/" + name + ".golden";
+  EXPECT_EQ(rendered.engine, rendered.reference)
+      << "engine and reference simulator disagree on " << name;
   if (std::getenv("DYNET_REGEN_GOLDEN") != nullptr) {
     std::ofstream out(path);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
-    out << rendered;
+    out << rendered.engine;
     GTEST_SKIP() << "regenerated " << path;
   }
   std::ifstream in(path);
@@ -154,10 +191,12 @@ void expectGolden(const std::string& name, const std::string& rendered) {
                          << " — run scripts/regen_golden.sh";
   std::stringstream expected;
   expected << in.rdbuf();
-  EXPECT_EQ(expected.str(), rendered)
-      << "canonical run drifted from " << path
+  EXPECT_EQ(expected.str(), rendered.engine)
+      << "engine run drifted from " << path
       << " — if intentional, regenerate via scripts/regen_golden.sh and "
          "commit the diff";
+  EXPECT_EQ(expected.str(), rendered.reference)
+      << "reference simulator run drifted from " << path;
 }
 
 // ------------------------------------------------------------- protocols
@@ -167,7 +206,7 @@ TEST(GoldenCorpus, FloodDeterministicOnEdgeChurn) {
                               /*halt_round=*/40);
   expectGolden("flood_det_edge_churn",
                runCanonical(factory,
-                            std::make_unique<adv::EdgeChurnAdversary>(20, 2, 7),
+                            freshAdversary<adv::EdgeChurnAdversary>(20, 2, 7),
                             /*rounds=*/48, /*seed=*/0xA001));
 }
 
@@ -177,7 +216,7 @@ TEST(GoldenCorpus, FloodRandomizedOnRandomGraph) {
   expectGolden(
       "flood_rand_random_graph",
       runCanonical(factory,
-                   std::make_unique<adv::RandomGraphAdversary>(18, 0.4, 5),
+                   freshAdversary<adv::RandomGraphAdversary>(18, 0.4, 5),
                    /*rounds=*/48, /*seed=*/0xA002));
 }
 
@@ -189,7 +228,7 @@ TEST(GoldenCorpus, MaxFloodOnRotatingStar) {
   proto::MaxFloodFactory factory(values, 8, /*total_rounds=*/40);
   expectGolden("max_flood_rotating_star",
                runCanonical(factory,
-                            std::make_unique<adv::RotatingStarAdversary>(16),
+                            freshAdversary<adv::RotatingStarAdversary>(16),
                             /*rounds=*/48, /*seed=*/0xA003));
 }
 
@@ -198,7 +237,7 @@ TEST(GoldenCorpus, CFloodOnShufflePath) {
                                /*wait_rounds=*/15);
   expectGolden("cflood_shuffle_path",
                runCanonical(factory,
-                            std::make_unique<adv::ShufflePathAdversary>(16, 3),
+                            freshAdversary<adv::ShufflePathAdversary>(16, 3),
                             /*rounds=*/40, /*seed=*/0xA004));
 }
 
@@ -207,7 +246,7 @@ TEST(GoldenCorpus, CountingOnIntervalAdversary) {
                                  /*master_seed=*/0xC0);
   expectGolden("counting_interval",
                runCanonical(factory,
-                            std::make_unique<adv::IntervalAdversary>(12, 6, 4),
+                            freshAdversary<adv::IntervalAdversary>(12, 6, 4),
                             /*rounds=*/60, /*seed=*/0xA005));
 }
 
@@ -216,7 +255,7 @@ TEST(GoldenCorpus, HearFromNOnAnchoredStar) {
                                   /*master_seed=*/0xB1, /*epsilon=*/0.1);
   expectGolden("hear_from_n_anchored_star",
                runCanonical(factory,
-                            std::make_unique<adv::AnchoredStarAdversary>(14, 6),
+                            freshAdversary<adv::AnchoredStarAdversary>(14, 6),
                             /*rounds=*/60, /*seed=*/0xA006));
 }
 
@@ -224,7 +263,7 @@ TEST(GoldenCorpus, GossipOnRandomTree) {
   proto::GossipFactory factory(/*total_tokens=*/4, /*total_rounds=*/56);
   expectGolden("gossip_random_tree",
                runCanonical(factory,
-                            std::make_unique<adv::RandomTreeAdversary>(14, 8),
+                            freshAdversary<adv::RandomTreeAdversary>(14, 8),
                             /*rounds=*/56, /*seed=*/0xA007));
 }
 
@@ -241,7 +280,7 @@ TEST(GoldenCorpus, BabblerUnderFaults) {
   expectGolden(
       "babbler_faulted_random_graph",
       runCanonical(factory,
-                   std::make_unique<adv::RandomGraphAdversary>(16, 0.5, 9),
+                   freshAdversary<adv::RandomGraphAdversary>(16, 0.5, 9),
                    /*rounds=*/48, /*seed=*/0xA008, &fc));
 }
 
@@ -258,7 +297,7 @@ TEST(GoldenCorpus, DiamExactOnAchGadget) {
   expectGolden(
       "diam_exact_ach_gadget",
       runCanonical(factory,
-                   std::make_unique<adv::StaticAdversary>(gadget.graph()),
+                   freshAdversary<adv::StaticAdversary>(gadget.graph()),
                    /*rounds=*/proto::DiamExactProcess::scheduleRounds(20) + 1,
                    /*seed=*/0xA00A, nullptr, /*duplex=*/true));
 }
@@ -270,7 +309,7 @@ TEST(GoldenCorpus, Diam2ApproxOnBkGadget) {
   expectGolden(
       "diam_2approx_bk_gadget",
       runCanonical(factory,
-                   std::make_unique<adv::StaticAdversary>(gadget.graph()),
+                   freshAdversary<adv::StaticAdversary>(gadget.graph()),
                    /*rounds=*/proto::Diam2ApproxProcess::scheduleRounds(24) + 1,
                    /*seed=*/0xA00B, nullptr, /*duplex=*/true));
 }
@@ -281,7 +320,7 @@ TEST(GoldenCorpus, Diam32ApproxOnTorus) {
       "diam_32approx_torus",
       runCanonical(
           factory,
-          std::make_unique<adv::StaticAdversary>(net::makeTorus(4, 5)),
+          freshAdversary<adv::StaticAdversary>(net::makeTorus(4, 5)),
           /*rounds=*/proto::Diam32ApproxProcess::scheduleRounds(20) + 1,
           /*seed=*/0xA00C, nullptr, /*duplex=*/true));
 }
@@ -302,27 +341,32 @@ TEST(GoldenCorpus, TraceReplayFixture) {
   // dir stays pristine and the rendering exercises the parser every run.
   const dataset::CompiledTrace trace =
       dataset::compile(dataset::parseEventListFile(path));
-  std::ostringstream out;
-  out << "num_nodes=" << trace.num_nodes << "\n";
-  out << "num_rounds=" << trace.rounds << "\n";
-  out << "content_hash=" << dataset::contentHash(trace) << "\n";
+  std::ostringstream header;
+  header << "num_nodes=" << trace.num_nodes << "\n";
+  header << "num_rounds=" << trace.rounds << "\n";
+  header << "content_hash=" << dataset::contentHash(trace) << "\n";
   auto shared = std::make_shared<const dataset::CompiledTrace>(trace);
   adv::TraceReplayOptions options;
   options.policy = adv::TraceReplayOptions::EndPolicy::kMirror;
   proto::FloodFactory factory(0, 0x2a, 8, proto::FloodMode::kDeterministic,
                               /*halt_round=*/40);
-  out << runCanonical(factory,
-                      std::make_unique<adv::TraceAdversary>(shared, options),
-                      /*rounds=*/48, /*seed=*/0xA009);
-  expectGolden("trace_replay_fixture", out.str());
+  Rendered rendered = runCanonical(
+      factory,
+      freshAdversary<adv::TraceAdversary>(shared, options),
+      /*rounds=*/48, /*seed=*/0xA009);
+  rendered.engine = header.str() + rendered.engine;
+  rendered.reference = header.str() + rendered.reference;
+  expectGolden("trace_replay_fixture", rendered);
 }
 
 // ------------------------------------------- lower-bound constructions
 
-std::string runLowerBoundReference(std::unique_ptr<sim::Adversary> adversary,
-                                   sim::Round rounds, std::uint64_t seed) {
+template <typename Network>
+Rendered runLowerBoundReference(const Network& network, std::uint64_t seed) {
   proto::RandomBabblerFactory babbler(24);
-  return runCanonical(babbler, std::move(adversary), rounds, seed);
+  return runCanonical(
+      babbler, [&] { return network.referenceAdversary(); }, network.horizon(),
+      seed);
 }
 
 TEST(GoldenCorpus, GammaCFloodNetworkReferenceRun) {
@@ -330,8 +374,7 @@ TEST(GoldenCorpus, GammaCFloodNetworkReferenceRun) {
   const cc::Instance inst = cc::randomInstance(2, 9, rng, /*force=*/1);
   const lb::CFloodNetwork network(inst);
   expectGolden("gamma_cflood_network",
-               runLowerBoundReference(network.referenceAdversary(),
-                                      network.horizon(), /*seed=*/0xB001));
+               runLowerBoundReference(network, /*seed=*/0xB001));
 }
 
 TEST(GoldenCorpus, LambdaConsensusNetworkDisj1ReferenceRun) {
@@ -339,8 +382,7 @@ TEST(GoldenCorpus, LambdaConsensusNetworkDisj1ReferenceRun) {
   const cc::Instance inst = cc::randomInstance(2, 9, rng, /*force=*/1);
   const lb::ConsensusNetwork network(inst);
   expectGolden("lambda_consensus_network_disj1",
-               runLowerBoundReference(network.referenceAdversary(),
-                                      network.horizon(), /*seed=*/0xB002));
+               runLowerBoundReference(network, /*seed=*/0xB002));
 }
 
 TEST(GoldenCorpus, UpsilonConsensusNetworkDisj0ReferenceRun) {
@@ -348,8 +390,7 @@ TEST(GoldenCorpus, UpsilonConsensusNetworkDisj0ReferenceRun) {
   const cc::Instance inst = cc::randomInstance(2, 9, rng, /*force=*/0);
   const lb::ConsensusNetwork network(inst);
   expectGolden("upsilon_consensus_network_disj0",
-               runLowerBoundReference(network.referenceAdversary(),
-                                      network.horizon(), /*seed=*/0xB003));
+               runLowerBoundReference(network, /*seed=*/0xB003));
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 // Structure-of-arrays state store: differential pins against the object
 // path (PR: SoA state + many-worlds lanes).
 //
-// Four layers of evidence that EngineConfig::soa_state changes HOW the
-// engine executes a round, never WHAT it computes:
+// Four layers of evidence that the SoA state store (the factory
+// constructor's default where a protocol has a model) changes HOW the
+// engine executes a round, never WHAT it computes.  The object leg is the
+// process-vector constructor:
 //
 //   * per-round lockstep: object and SoA engines stepped side by side must
 //     agree on every node's stateDigest / done / output after EVERY round,
@@ -45,6 +47,7 @@
 #include "sim/batch.h"
 #include "sim/engine.h"
 #include "util/rng.h"
+#include "reference_sim.h"
 
 namespace dynet::sim {
 namespace {
@@ -120,13 +123,12 @@ void runLockstep(const LockstepSpec& s) {
   object_cfg.max_rounds = s.rounds;
   object_cfg.stop_when_all_done = false;
   object_cfg.check_connectivity = false;
-  object_cfg.soa_state = false;
   EngineConfig soa_cfg = object_cfg;
-  soa_cfg.soa_state = true;
   soa_cfg.node_threads = s.node_threads;
 
-  Engine object_engine(*factory, makeAdversary(s.adversary, s.n, s.seed),
-                       object_cfg, s.seed);
+  Engine object_engine(ref::createProcesses(*factory, s.n),
+                       makeAdversary(s.adversary, s.n, s.seed), object_cfg,
+                       s.seed);
   Engine soa_engine(*factory, makeAdversary(s.adversary, s.n, s.seed),
                     soa_cfg, s.seed);
   ASSERT_FALSE(object_engine.soaActive());
@@ -225,8 +227,12 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
     cfg.max_rounds = rounds;
     cfg.stop_when_all_done = false;
     cfg.check_connectivity = false;
-    cfg.soa_state = soa;
-    Engine engine(*factory, makeAdversary(1, n, 0x71), cfg, 0x71);
+    auto engine_ptr =
+        soa ? std::make_unique<Engine>(*factory, makeAdversary(1, n, 0x71),
+                                       cfg, 0x71)
+            : std::make_unique<Engine>(ref::createProcesses(*factory, n),
+                                       makeAdversary(1, n, 0x71), cfg, 0x71);
+    Engine& engine = *engine_ptr;
     if (fc != nullptr) {
       engine.setFaultInjector(std::make_shared<const faults::FaultInjector>(
           faults::FaultPlan(n, *fc, 0x71 ^ 0xFA), factory.get()));
@@ -305,9 +311,9 @@ ScalarFloodRun runScalarFlood(const proto::ManyWorldsFloodSpec& spec,
   EngineConfig cfg;
   cfg.max_rounds = spec.max_rounds;
   cfg.stop_when_all_done = spec.stop_when_all_done;
-  cfg.soa_state = false;  // the reference leg is the classic object engine
-  Engine engine(factory, std::make_unique<adv::PeriodicAdversary>(cycle), cfg,
-                seed);
+  // The reference leg is the classic object engine.
+  Engine engine(ref::createProcesses(factory, spec.num_nodes),
+                std::make_unique<adv::PeriodicAdversary>(cycle), cfg, seed);
   ScalarFloodRun run;
   run.result = engine.run();
   for (NodeId v = 0; v < spec.num_nodes; ++v) {
