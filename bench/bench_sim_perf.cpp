@@ -17,7 +17,9 @@
 //                        TrialRecorder).
 //   soa-vs-objects       single-core BatchRunner vs BatchRunner, only the
 //                        Engine constructor differs — per-node Process
-//                        objects vs the flat column store (sim/soa.h).
+//                        objects vs the SoA model: max_flood's flat column
+//                        store (sim/soa.h), and LEADERELECT's contiguous
+//                        process array (sim/process_array.h).
 //   manyworlds-vs-scalar single-core scalar flood engines vs the
 //                        bit-parallel 64-trials-per-word lanes of
 //                        protocols/manyworlds.h via BatchRunner::runLanes.
@@ -40,7 +42,9 @@
 #include "obs/sink.h"
 #include "cc/disjointness_cp.h"
 #include "lowerbound/composition.h"
+#include "adversary/churn_adversaries.h"
 #include "protocols/flood.h"
+#include "protocols/leader_unknown_d.h"
 #include "protocols/manyworlds.h"
 #include "protocols/max_flood.h"
 #include "protocols/oracles.h"
@@ -357,6 +361,36 @@ CompareResult compareSoAVsObjects(sim::NodeId n, int trials, sim::Round rounds,
       options);
 }
 
+/// soa-vs-objects on the paper's LEADERELECT (the campaign zoo's defaults:
+/// k = 64, c = 0.25, N' = 1.1 n) against edge_churn 2: per-node heap
+/// Process objects vs the same LeaderElectProcess class held contiguously
+/// by sim::ProcessArrayModel.  Fixed length: phase 0 (stages A, B, C, D)
+/// and 64 rounds of phase 1's stage A.
+CompareResult compareLeaderSoAVsObjects(sim::NodeId n, int trials,
+                                        std::uint64_t base_seed) {
+  proto::LeaderConfig config;
+  config.n_estimate = 1.1 * static_cast<double>(n);
+  config.k = 64;
+  const sim::Round rounds = proto::LeaderSchedule(config).phaseStart(1) + 63;
+  sim::BatchOptions options;
+  options.threads = 1;
+  return compareToggle(
+      n, trials, rounds, base_seed, "soa-vs-objects",
+      [&](std::uint64_t seed, sim::EngineWorkspace& ws, int leg) {
+        proto::LeaderElectFactory factory(config, seed);
+        auto adversary = std::make_unique<adv::EdgeChurnAdversary>(n, 2, seed);
+        if (leg == 0) {
+          return bench::makeObjectEngine(factory, std::move(adversary), rounds,
+                                         seed, &ws)
+              .run();
+        }
+        return bench::makeEngine(factory, std::move(adversary), rounds, seed,
+                                 /*record=*/false, &ws)
+            .run();
+      },
+      options);
+}
+
 /// manyworlds-vs-scalar: a boolean-token flood sweep run trial-by-trial
 /// through scalar engines vs 64 trials per uint64 word through
 /// protocols/manyworlds.h and BatchRunner::runLanes.  Both legs are
@@ -520,6 +554,18 @@ int runCompareModes(const std::vector<std::string>& modes, bool quick,
       }
     }
     reports.push_back(std::move(report));
+    if (mode == "soa-vs-objects") {
+      // The same mode on the paper's LEADERELECT, reported as its own
+      // workload entry.
+      ModeReport leader;
+      leader.mode = mode;
+      leader.workload = "leader_unknown_d/edge_churn";
+      leader.baseline_label = "objects_trials_per_sec";
+      leader.new_label = "soa_trials_per_sec";
+      leader.results.push_back(compareLeaderSoAVsObjects(
+          quick ? 256 : 1024, quick ? 2 : 8, 0x51A7));
+      reports.push_back(std::move(leader));
+    }
   }
 
   std::ofstream json(json_path);

@@ -11,10 +11,12 @@ Run from anywhere inside the repository:
 The "parent" side is either a git ref, checked out into a temporary
 `git worktree` next to the working tree and removed afterwards, or an
 existing checkout given with --base-dir.  The "change" side is the working
-tree this script belongs to.  Each side is built and run by its own
-perfbench/run.py, with its own build directory (<side>/.bench_build) and its
-own perfbench/reference/, so each side's simulated records are checked
-against the references it ships with.
+tree this script belongs to.  Each side's perfbench is built from its own
+sources by its own perfbench/run.py build step, in its own build directory
+(<side>/.bench_build/perfbench), and checks its records against its own
+perfbench/reference/.  Both sides' binaries run with ONE shared temporary
+--work-dir: peak_rss_mb follows the work directory's path, so per-side work
+directories made identical code read 3-5% apart.
 
 Pair i runs both sides with seed --seed-base + i; even pairs run the parent
 first, odd pairs the change first, so slow drift of the machine's speed
@@ -26,12 +28,14 @@ quartiles, the change/parent ratio of the medians, how many pairs the change
 won (in the direction BENCHMARK.json declares for the metric), and whether
 the medians differ by more than the parent's interquartile range.  The exit
 code is 1 when any run failed a check or did not finish, 2 on bad
-arguments or a failed checkout.
+arguments, a failed checkout or a failed build.
 """
 
 import argparse
+import importlib.util
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -55,16 +59,28 @@ def directions(bench_json):
     return better
 
 
-def run_side(side_dir, args, seed):
+def build_side(side_dir):
+    """Builds one checkout's perfbench with that checkout's own
+    perfbench/run.py build step; returns the binary path or None."""
+    sys.dont_write_bytecode = True  # leave no __pycache__ in perfbench/
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_run", os.path.join(side_dir, "perfbench", "run.py"))
+    run_py = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_py)
+    build_dir = os.path.join(side_dir, ".bench_build", "perfbench")
+    return os.path.join(build_dir, "perfbench") if run_py.build(build_dir) \
+        else None
+
+
+def run_side(side_dir, binary, work_dir, args, seed):
     """One perfbench run of one checkout; returns (ok, metrics dict)."""
-    env = dict(os.environ)
-    env["CARGO_TARGET_DIR"] = os.path.join(side_dir, ".bench_build")
-    command = [sys.executable, os.path.join(side_dir, "perfbench", "run.py"),
-               "--workload", args.workload, "--seed", str(seed),
-               "--seconds", repr(args.seconds), "--trace", str(args.trace)]
-    proc = subprocess.run(command, cwd=side_dir, env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                          text=True)
+    command = [binary, "--workload", args.workload, "--seed", str(seed),
+               "--seconds", repr(args.seconds), "--trace", str(args.trace),
+               "--reference-dir",
+               os.path.join(side_dir, "perfbench", "reference"),
+               "--work-dir", work_dir]
+    proc = subprocess.run(command, cwd=side_dir, stdout=subprocess.PIPE,
+                          stderr=subprocess.DEVNULL, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -156,19 +172,27 @@ def main():
         base_dir = os.path.abspath(args.base_dir)
 
     parent, change, ok = [], [], True
+    work_dir = tempfile.mkdtemp(prefix="perf_pairs-work-")
     try:
+        binaries = {base_dir: build_side(base_dir)}
+        binaries[change_dir] = (binaries[base_dir] if change_dir == base_dir
+                                else build_side(change_dir))
+        if None in binaries.values():
+            return 2
         for i in range(args.pairs):
             seed = args.seed_base + i
             order = [("parent", base_dir), ("change", change_dir)]
             if i % 2 == 1:
                 order.reverse()
             for label, directory in order:
-                run_ok, metrics = run_side(directory, args, seed)
+                run_ok, metrics = run_side(directory, binaries[directory],
+                                           work_dir, args, seed)
                 ok = ok and run_ok
                 (parent if label == "parent" else change).append(metrics)
             print(f"perf_pairs: pair {i + 1}/{args.pairs} (seed {seed}) "
                   "done", file=sys.stderr)
     finally:
+        shutil.rmtree(work_dir, ignore_errors=True)
         if worktree is not None:
             git(["worktree", "remove", "--force", worktree], top)
 

@@ -1,5 +1,7 @@
 #include "protocols/consensus_via_leader.h"
 
+#include "sim/soa.h"
+
 namespace dynet::proto {
 
 namespace {
@@ -17,6 +19,11 @@ ConsensusViaLeaderFactory::ConsensusViaLeaderFactory(
 std::unique_ptr<sim::Process> ConsensusViaLeaderFactory::create(
     sim::NodeId node, sim::NodeId num_nodes) const {
   return inner_.create(node, num_nodes);
+}
+
+std::unique_ptr<sim::SoAModel> ConsensusViaLeaderFactory::createSoA(
+    sim::NodeId num_nodes) const {
+  return inner_.createSoA(num_nodes);
 }
 
 }  // namespace dynet::proto

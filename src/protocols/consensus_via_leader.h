@@ -22,6 +22,9 @@ class ConsensusViaLeaderFactory : public sim::ProcessFactory {
 
   std::unique_ptr<sim::Process> create(sim::NodeId node,
                                        sim::NodeId num_nodes) const override;
+  /// The inner LeaderElectFactory's SoA model (sim/process_array.h).
+  std::unique_ptr<sim::SoAModel> createSoA(
+      sim::NodeId num_nodes) const override;
 
  private:
   LeaderElectFactory inner_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/process_array.h"
 #include "util/bitio.h"
 #include "util/check.h"
 
@@ -234,13 +235,18 @@ sim::Action LeaderElectProcess::stageASend(util::CoinStream& coins) {
 
 sim::Action LeaderElectProcess::stageBDSend(int tag, const MinVector& mins,
                                             std::uint64_t cand,
-                                            const LeaderSchedule::Pos& pos,
+                                            sim::Round round,
                                             util::CoinStream& coins) {
   sim::Action action;
   if (!coins.coin()) {
     return action;
   }
-  const int coord = static_cast<int>(pos.offset % schedule_.k());
+  // The round-robin coordinate, (round - stage_first_) mod k, without a
+  // division per send: the cycle start only ever moves forward by k.
+  while (round - cycle_first_ >= schedule_.k()) {
+    cycle_first_ += schedule_.k();
+  }
+  const int coord = static_cast<int>(round - cycle_first_);
   const double value = mins.coordinate(coord);
   action.send = true;
   action.msg = sim::MessageBuilder()
@@ -274,75 +280,84 @@ sim::Action LeaderElectProcess::stageCSend(util::CoinStream& coins) {
 
 sim::Action LeaderElectProcess::onRound(sim::Round round,
                                         util::CoinStream& coins) {
-  const LeaderSchedule::Pos pos = schedule_.locate(round);
-  enterStage(pos);
-  switch (pos.stage) {
+  if (round < stage_first_ || round >= stage_end_) {
+    const LeaderSchedule::Pos pos = schedule_.locate(round);
+    stage_first_ = round - pos.offset;
+    stage_end_ = stage_first_ + pos.stage_len;
+    cycle_first_ = stage_first_;
+    enterStage(pos);
+  }
+  switch (cur_stage_) {
     case 0:
       return stageASend(coins);
     case 1:
       return stageBDSend(static_cast<int>(kTagB), count_mins_, count_value_,
-                         pos, coins);
+                         round, coins);
     case 2:
       return stageCSend(coins);
     default:
       return stageBDSend(static_cast<int>(kTagD), count_mins_, count_value_,
-                         pos, coins);
+                         round, coins);
   }
 }
 
 void LeaderElectProcess::onDeliver(sim::Round /*round*/, bool /*sent*/,
                                    std::span<const sim::Message> received) {
   for (const sim::Message& msg : received) {
-    sim::MessageReader reader(msg);
-    const std::uint64_t tag = reader.get(kTagBits);
-    if (tag == kTagA) {
-      const std::uint64_t maxid = reader.get(id_bits_);
-      const std::uint64_t leader = reader.get(id_bits_);
-      const std::uint64_t lv = reader.get(1);
-      const std::uint64_t unlock_id = reader.get(id_bits_);
-      const int unlock_phase = static_cast<int>(reader.get(kPhaseBits));
-      maxid_ = std::max(maxid_, maxid);
-      handleLeaderFields(leader, lv);
-      if (unlock_id != 0) {
-        const Unlock unlock{unlock_id, unlock_phase};
-        applyUnlock(unlock);
-        rememberUnlock(unlock);
-      }
-    } else if (tag == kTagB || tag == kTagD) {
-      const std::uint64_t value = reader.get(id_bits_);
-      const int coord = static_cast<int>(reader.get(kCoordBits));
-      const double min_value =
-          util::decodeReal16(static_cast<std::uint16_t>(reader.get(kValueBits)));
-      const std::uint64_t leader = reader.get(id_bits_);
-      const std::uint64_t lv = reader.get(1);
-      handleLeaderFields(leader, lv);
-      if (tag == kTagB) {
-        maxid_ = std::max(maxid_, value);
-      }
-      if (value > count_value_) {
-        // A larger candidate exists: become a pure relay for it.
-        count_value_ = value;
-        count_supporter_ = false;
-        count_mins_.clear();
-      }
-      if (value == count_value_ && min_value > 0.0 &&
-          coord < count_mins_.k()) {
-        count_mins_.merge(coord, min_value);
-      }
-    } else if (tag == kTagC) {
-      const std::uint64_t locker = reader.get(id_bits_);
-      const int phase = static_cast<int>(reader.get(kPhaseBits));
-      const std::uint64_t leader = reader.get(id_bits_);
-      const std::uint64_t lv = reader.get(1);
-      handleLeaderFields(leader, lv);
-      if (locker != 0 && lock_heard_ == 0) {
-        lock_heard_ = locker;
-        if (locked_by_ == 0) {
-          locked_by_ = locker;
-          locked_phase_ = phase;
-        } else if (locked_by_ == locker) {
-          locked_phase_ = phase;  // refresh
-        }
+    receive(msg);
+  }
+}
+
+void LeaderElectProcess::receive(const sim::Message& msg) {
+  sim::MessageReader reader(msg);
+  const std::uint64_t tag = reader.get(kTagBits);
+  if (tag == kTagA) {
+    const std::uint64_t maxid = reader.get(id_bits_);
+    const std::uint64_t leader = reader.get(id_bits_);
+    const std::uint64_t lv = reader.get(1);
+    const std::uint64_t unlock_id = reader.get(id_bits_);
+    const int unlock_phase = static_cast<int>(reader.get(kPhaseBits));
+    maxid_ = std::max(maxid_, maxid);
+    handleLeaderFields(leader, lv);
+    if (unlock_id != 0) {
+      const Unlock unlock{unlock_id, unlock_phase};
+      applyUnlock(unlock);
+      rememberUnlock(unlock);
+    }
+  } else if (tag == kTagB || tag == kTagD) {
+    const std::uint64_t value = reader.get(id_bits_);
+    const int coord = static_cast<int>(reader.get(kCoordBits));
+    const double min_value =
+        util::decodeReal16(static_cast<std::uint16_t>(reader.get(kValueBits)));
+    const std::uint64_t leader = reader.get(id_bits_);
+    const std::uint64_t lv = reader.get(1);
+    handleLeaderFields(leader, lv);
+    if (tag == kTagB) {
+      maxid_ = std::max(maxid_, value);
+    }
+    if (value > count_value_) {
+      // A larger candidate exists: become a pure relay for it.
+      count_value_ = value;
+      count_supporter_ = false;
+      count_mins_.clear();
+    }
+    if (value == count_value_ && min_value > 0.0 &&
+        coord < count_mins_.k()) {
+      count_mins_.merge(coord, min_value);
+    }
+  } else if (tag == kTagC) {
+    const std::uint64_t locker = reader.get(id_bits_);
+    const int phase = static_cast<int>(reader.get(kPhaseBits));
+    const std::uint64_t leader = reader.get(id_bits_);
+    const std::uint64_t lv = reader.get(1);
+    handleLeaderFields(leader, lv);
+    if (locker != 0 && lock_heard_ == 0) {
+      lock_heard_ = locker;
+      if (locked_by_ == 0) {
+        locked_by_ = locker;
+        locked_phase_ = phase;
+      } else if (locked_by_ == locker) {
+        locked_phase_ = phase;  // refresh
       }
     }
   }
@@ -372,6 +387,19 @@ LeaderElectFactory::LeaderElectFactory(const LeaderConfig& config,
 
 std::unique_ptr<sim::Process> LeaderElectFactory::create(
     sim::NodeId node, sim::NodeId num_nodes) const {
+  return std::make_unique<LeaderElectProcess>(make(node, num_nodes));
+}
+
+std::unique_ptr<sim::SoAModel> LeaderElectFactory::createSoA(
+    sim::NodeId num_nodes) const {
+  return std::make_unique<sim::ProcessArrayModel<LeaderElectProcess>>(
+      [factory = *this, num_nodes](sim::NodeId node) {
+        return factory.make(node, num_nodes);
+      });
+}
+
+LeaderElectProcess LeaderElectFactory::make(sim::NodeId node,
+                                            sim::NodeId num_nodes) const {
   DYNET_CHECK(!config_.carry_value ||
               static_cast<std::size_t>(num_nodes) == inputs_.size())
       << "carry_value needs one input per node";
@@ -381,7 +409,7 @@ std::unique_ptr<sim::Process> LeaderElectFactory::create(
       static_cast<std::uint64_t>(4.0 * std::max(2.0, config_.n_estimate)) + 4);
   const std::uint64_t input =
       config_.carry_value ? inputs_[static_cast<std::size_t>(node)] : 0;
-  return std::make_unique<LeaderElectProcess>(
+  return LeaderElectProcess(
       node, input, config_, id_bits,
       util::privateSeed(master_seed_, static_cast<std::uint64_t>(node)));
 }

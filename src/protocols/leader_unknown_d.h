@@ -90,15 +90,21 @@ class LeaderSchedule {
   mutable std::vector<sim::Round> phase_starts_;  // cumulative, grown on demand
 };
 
-class LeaderElectProcess : public sim::Process {
+/// One node's LEADERELECT state machine.  `final` and delivered message by
+/// message through receive(), so the same class runs on the object path
+/// and, via sim::ProcessArrayModel, on the SoA path.
+class LeaderElectProcess final : public sim::Process {
  public:
   LeaderElectProcess(sim::NodeId node, std::uint64_t input_bit,
                      const LeaderConfig& config, int id_bits,
                      std::uint64_t private_seed);
 
   sim::Action onRound(sim::Round round, util::CoinStream& coins) override;
+  /// Exactly a loop over receive() (the sim/process_array.h contract).
   void onDeliver(sim::Round round, bool sent,
                  std::span<const sim::Message> received) override;
+  /// Handles one delivered message.
+  void receive(const sim::Message& msg);
   bool done() const override { return leader_ != 0; }
   /// Leader id key (id+1), or the leader's input bit when carry_value.
   std::uint64_t output() const override {
@@ -127,8 +133,7 @@ class LeaderElectProcess : public sim::Process {
   void enterStage(const LeaderSchedule::Pos& pos);
   sim::Action stageASend(util::CoinStream& coins);
   sim::Action stageBDSend(int tag, const MinVector& mins, std::uint64_t cand,
-                          const LeaderSchedule::Pos& pos,
-                          util::CoinStream& coins);
+                          sim::Round round, util::CoinStream& coins);
   sim::Action stageCSend(util::CoinStream& coins);
   void handleLeaderFields(std::uint64_t leader, std::uint64_t value);
   void applyUnlock(const Unlock& unlock);
@@ -152,9 +157,15 @@ class LeaderElectProcess : public sim::Process {
   std::size_t unlock_cursor_ = 0;
   int declared_phase_ = -1;
 
-  // Current stage bookkeeping.
+  // Current stage bookkeeping.  Rounds in [stage_first_, stage_end_) share
+  // cur_phase_ and cur_stage_, so LeaderSchedule::locate runs once per
+  // stage instead of once per round; cycle_first_ starts the current k-round
+  // cycle of the stage-B/D coordinate schedule.
   int cur_phase_ = -1;
   int cur_stage_ = -1;
+  sim::Round stage_first_ = 0;
+  sim::Round stage_end_ = 0;
+  sim::Round cycle_first_ = 0;
   // Stage B/D counting state.
   std::uint64_t count_value_ = 0;   // value whose supporters are counted
   bool count_supporter_ = false;
@@ -178,8 +189,15 @@ class LeaderElectFactory : public sim::ProcessFactory {
 
   std::unique_ptr<sim::Process> create(sim::NodeId node,
                                        sim::NodeId num_nodes) const override;
+  /// SoA execution: the same LeaderElectProcess objects, held contiguously
+  /// by sim::ProcessArrayModel.
+  std::unique_ptr<sim::SoAModel> createSoA(
+      sim::NodeId num_nodes) const override;
 
  private:
+  /// The node state machine both create() and createSoA() build.
+  LeaderElectProcess make(sim::NodeId node, sim::NodeId num_nodes) const;
+
   LeaderConfig config_;
   std::uint64_t master_seed_;
   std::vector<std::uint64_t> inputs_;

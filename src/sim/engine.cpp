@@ -81,13 +81,21 @@ void Engine::init(EngineWorkspace* workspace) {
   }
 }
 
-Engine::~Engine() = default;
+Engine::~Engine() {
+  // A model may keep objects in the workspace's SoAStore
+  // (sim/process_array.h): release it while an owned workspace still exists.
+  soa_.reset();
+}
 
 const Process& Engine::process(NodeId v) const {
-  DYNET_CHECK(soa_ == nullptr)
-      << "process(" << v << ") on the SoA path; use nodeDone/nodeOutput/"
-      << "stateDigest, which work on both representations";
-  return *processes_[static_cast<std::size_t>(v)];
+  if (soa_ == nullptr) {
+    return *processes_[static_cast<std::size_t>(v)];
+  }
+  const Process* p = soa_->process(v);
+  DYNET_CHECK(p != nullptr)
+      << "process(" << v << ") on a column SoA model; use nodeDone/"
+      << "nodeOutput/stateDigest, which work on both representations";
+  return *p;
 }
 
 bool Engine::nodeDone(NodeId v) const {

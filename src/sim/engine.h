@@ -166,8 +166,10 @@ class Engine {
 
   Round currentRound() const { return round_; }
   NodeId numNodes() const { return n_; }
-  /// Object path only (checked): SoA runs have no Process objects.  Callers
-  /// that must work on both paths use nodeDone/nodeOutput/stateDigest.
+  /// Node v's Process: the object path's, or the SoA model's own object
+  /// when it keeps one per node (sim/process_array.h).  Checked: column SoA
+  /// models have none, so callers that must work on every path use
+  /// nodeDone/nodeOutput/stateDigest.
   const Process& process(NodeId v) const;
   /// True when this run executes on the structure-of-arrays path.
   bool soaActive() const { return soa_ != nullptr; }

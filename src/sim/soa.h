@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,6 +57,21 @@ class SoAStore {
   std::vector<Message>& messageColumn(std::size_t slot) {
     return at(messages_, slot);
   }
+  /// A column of model-defined objects (sim/process_array.h keeps its
+  /// Process objects here, so their array is allocated once per workspace
+  /// rather than once per trial).  A slot last used with another type is
+  /// replaced.
+  template <typename T>
+  std::vector<T>& objectColumn(std::size_t slot) {
+    std::unique_ptr<ObjectPool>& pool = at(objects_, slot);
+    auto* typed = dynamic_cast<TypedPool<T>*>(pool.get());
+    if (typed == nullptr) {
+      auto fresh = std::make_unique<TypedPool<T>>();
+      typed = fresh.get();
+      pool = std::move(fresh);
+    }
+    return typed->column;
+  }
 
   void reset() {
     for (auto& c : u64_) {
@@ -70,12 +86,33 @@ class SoAStore {
     for (auto& c : messages_) {
       c.clear();
     }
+    for (auto& c : objects_) {
+      if (c != nullptr) {
+        c->clear();
+      }
+    }
+    ++epoch_;
   }
 
+  /// Counts reset() calls.  A model that must release its columns when it
+  /// dies compares this with the value it was bound under, so an engine
+  /// destroyed after a later engine re-bound the store leaves the later
+  /// engine's columns alone.
+  std::uint64_t epoch() const { return epoch_; }
+
  private:
+  struct ObjectPool {
+    virtual ~ObjectPool() = default;
+    virtual void clear() = 0;
+  };
   template <typename T>
-  static std::vector<T>& at(std::deque<std::vector<T>>& pool,
-                            std::size_t slot) {
+  struct TypedPool final : ObjectPool {
+    void clear() override { column.clear(); }
+    std::vector<T> column;
+  };
+
+  template <typename Column>
+  static Column& at(std::deque<Column>& pool, std::size_t slot) {
     while (pool.size() <= slot) {
       pool.emplace_back();
     }
@@ -86,6 +123,8 @@ class SoAStore {
   std::deque<std::vector<std::int32_t>> i32_;
   std::deque<std::vector<char>> bytes_;
   std::deque<std::vector<Message>> messages_;
+  std::deque<std::unique_ptr<ObjectPool>> objects_;
+  std::uint64_t epoch_ = 0;
 };
 
 /// One protocol's flat-array execution: the SoA counterpart of the whole
@@ -130,6 +169,14 @@ class SoAModel {
   /// pairs the object path would for node v.
   virtual void exportMetrics(
       NodeId v, std::vector<std::pair<std::string, double>>& out) const;
+
+  /// Node v's Process object when the model keeps one per node
+  /// (sim/process_array.h), so Engine::process works on both paths; null
+  /// for column models, which have no objects.
+  virtual const Process* process(NodeId v) const {
+    (void)v;
+    return nullptr;
+  }
 };
 
 /// Resolved stride width for the intra-trial worker loops:

@@ -43,6 +43,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 
 #include "faults/fault_injector.h"
 #include "net/graph.h"
@@ -55,6 +56,17 @@
 
 namespace dynet::sim {
 
+/// Raises the over-budget CheckError for accountSentAction; out of line so
+/// the per-send hot path carries one compare and a call, not the formatting,
+/// and [[noreturn]] so the counters stay in registers across the branch.
+[[noreturn, gnu::cold, gnu::noinline]] inline void sentActionOverBudget(
+    const RoundContext& ctx, NodeId v, const Action& a) {
+  DYNET_CHECK(a.msg.bitSize() <= ctx.budget_bits)
+      << "node " << v << " round " << ctx.round << " message of "
+      << a.msg.bitSize() << " bits exceeds budget " << ctx.budget_bits;
+  std::abort();  // unreachable: called only when the check fails
+}
+
 /// Send-side accounting shared by the object and SoA compute paths: budget
 /// check, global/per-node bit counters, and the bits_per_send histogram.
 /// Must run in ascending node order so histogram observations land in the
@@ -62,9 +74,9 @@ namespace dynet::sim {
 inline void accountSentAction(RoundContext& ctx, RunResult& result, NodeId v,
                               const Action& a) {
   const auto idx = static_cast<std::size_t>(v);
-  DYNET_CHECK(a.msg.bitSize() <= ctx.budget_bits)
-      << "node " << v << " round " << ctx.round << " message of "
-      << a.msg.bitSize() << " bits exceeds budget " << ctx.budget_bits;
+  if (a.msg.bitSize() > ctx.budget_bits) [[unlikely]] {
+    sentActionOverBudget(ctx, v, a);
+  }
   ++result.messages_sent;
   result.bits_sent += static_cast<std::uint64_t>(a.msg.bitSize());
   result.bits_per_node[idx] += static_cast<std::uint64_t>(a.msg.bitSize());

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 
 #include "util/check.h"
@@ -34,16 +35,14 @@ class BitWriter {
 
   /// Appends the low `width` bits of `value`.  width in [0, 64].
   void put(std::uint64_t value, int width) {
-    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
-    DYNET_CHECK(bits_ + width <= capacity_bits_)
-        << "bit budget exceeded: " << bits_ << "+" << width << " > "
-        << capacity_bits_;
+    // One fused test on the hot path; putFailed re-runs the individual
+    // checks to raise the CheckError the failed one describes.
+    if (static_cast<unsigned>(width) > 64 || bits_ + width > capacity_bits_ ||
+        (width != 0 && width < 64 && (value >> width) != 0)) [[unlikely]] {
+      putFailed(value, width);
+    }
     if (width == 0) {
       return;
-    }
-    if (width < 64) {
-      DYNET_CHECK((value >> width) == 0)
-          << "value " << value << " wider than " << width << " bits";
     }
     int word = bits_ >> 6;
     int offset = bits_ & 63;
@@ -57,6 +56,22 @@ class BitWriter {
   int bitsWritten() const { return bits_; }
 
  private:
+  // [[noreturn]]: put() calls this only when one of the checks fails, and
+  // a call that cannot return lets the compiler keep put()'s state in
+  // registers across the branch.
+  [[noreturn, gnu::cold, gnu::noinline]] void putFailed(std::uint64_t value,
+                                                        int width) const {
+    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
+    DYNET_CHECK(bits_ + width <= capacity_bits_)
+        << "bit budget exceeded: " << bits_ << "+" << width << " > "
+        << capacity_bits_;
+    if (width != 0 && width < 64) {
+      DYNET_CHECK((value >> width) == 0)
+          << "value " << value << " wider than " << width << " bits";
+    }
+    std::abort();  // unreachable: one of the checks above failed
+  }
+
   std::span<std::uint64_t> words_;
   int capacity_bits_;
   int bits_ = 0;
@@ -69,9 +84,10 @@ class BitReader {
       : words_(words), total_bits_(total_bits) {}
 
   std::uint64_t get(int width) {
-    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
-    DYNET_CHECK(pos_ + width <= total_bits_)
-        << "read past end: " << pos_ << "+" << width << " > " << total_bits_;
+    if (static_cast<unsigned>(width) > 64 || pos_ + width > total_bits_)
+        [[unlikely]] {
+      getFailed(width);
+    }
     if (width == 0) {
       return 0;
     }
@@ -91,6 +107,14 @@ class BitReader {
   int bitsRemaining() const { return total_bits_ - pos_; }
 
  private:
+  // [[noreturn]] for the reason putFailed gives.
+  [[noreturn, gnu::cold, gnu::noinline]] void getFailed(int width) const {
+    DYNET_CHECK(width >= 0 && width <= 64) << "width=" << width;
+    DYNET_CHECK(pos_ + width <= total_bits_)
+        << "read past end: " << pos_ << "+" << width << " > " << total_bits_;
+    std::abort();  // unreachable: one of the checks above failed
+  }
+
   std::span<const std::uint64_t> words_;
   int total_bits_;
   int pos_ = 0;

@@ -42,6 +42,7 @@
 #include "protocols/diameter_approx.h"
 #include "protocols/distance_bfs.h"
 #include "protocols/flood.h"
+#include "protocols/leader_unknown_d.h"
 #include "protocols/max_flood.h"
 #include "protocols/oracles.h"
 #include "sim/engine.h"
@@ -57,8 +58,9 @@ struct FuzzConfig {
   NodeId n = 0;
   Round rounds = 0;
   int adversary = 0;       // index into the zoo below
-  // 0 flood-det, 1 flood-rand, 2 max_flood, 3 babbler, 4 diam_exact,
-  // 5 diam_2approx, 6 diam_32approx (4+ run under EngineConfig::duplex).
+  // 0 flood-det, 1 flood-rand, 2 max_flood, 3 babbler, 4 leader_unknown_d,
+  // 5 diam_exact, 6 diam_2approx, 7 diam_32approx (5+ run under
+  // EngineConfig::duplex).
   int protocol = 0;
   std::uint64_t adv_seed = 0;
   std::uint64_t run_seed = 0;
@@ -69,6 +71,20 @@ struct FuzzConfig {
 };
 
 constexpr int kAdversaryKinds = 12;
+constexpr int kProtocolKinds = 8;
+constexpr int kLeaderProtocol = 4;
+constexpr int kFirstDuplexProtocol = 5;
+
+/// The paper's LEADERELECT at fuzz size: N' = n, a small k and gamma = 1
+/// keep its stage schedule short enough for sampleConfig to run it through
+/// a whole phase.
+proto::LeaderConfig leaderConfig(const FuzzConfig& c) {
+  proto::LeaderConfig config;
+  config.n_estimate = static_cast<double>(c.n);
+  config.k = 2 + static_cast<int>(c.run_seed % 3);
+  config.gamma = 1;
+  return config;
+}
 
 /// bk_gadget antenna length for a config (also used by the min-n clamp in
 /// sampleConfig, so it must be a pure function of adv_seed).
@@ -150,9 +166,12 @@ std::unique_ptr<ProcessFactory> makeFactory(const FuzzConfig& c) {
     }
     case 3:
       return std::make_unique<proto::RandomBabblerFactory>(20);
-    case 4:
-      return std::make_unique<proto::DiamExactFactory>();
+    case kLeaderProtocol:
+      return std::make_unique<proto::LeaderElectFactory>(leaderConfig(c),
+                                                         c.adv_seed);
     case 5:
+      return std::make_unique<proto::DiamExactFactory>();
+    case 6:
       return std::make_unique<proto::Diam2ApproxFactory>(0);
     default:
       return std::make_unique<proto::Diam32ApproxFactory>(c.adv_seed);
@@ -168,7 +187,7 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
   c.n = static_cast<NodeId>(8 + rng.below(17));  // 8..24
   c.rounds = static_cast<Round>(30 + rng.below(41));  // 30..70
   c.adversary = static_cast<int>(rng.below(kAdversaryKinds));
-  c.protocol = static_cast<int>(rng.below(7));
+  c.protocol = static_cast<int>(rng.below(kProtocolKinds));
   c.adv_seed = rng.u64();
   c.run_seed = rng.u64();
   c.with_sink = rng.below(3) == 0;
@@ -176,9 +195,11 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
   if (c.faulty) {
     c.fc.drop_prob = 0.1 * static_cast<double>(rng.below(4));        // 0..0.3
     c.fc.corrupt_prob = 0.1 * static_cast<double>(rng.below(2));     // 0/0.1
-    // FloodProcess DYNET_CHECKs foreign tokens, so mangled payloads may
-    // only reach protocols that tolerate them.
-    c.fc.deliver_corrupted = c.protocol >= 2 && rng.below(2) == 0;
+    // FloodProcess DYNET_CHECKs foreign tokens and a mangled LEADERELECT
+    // tag reads past its message's end, so mangled payloads may only reach
+    // protocols that tolerate them.
+    c.fc.deliver_corrupted =
+        c.protocol >= 2 && c.protocol != kLeaderProtocol && rng.below(2) == 0;
     c.fc.crash_fraction = 0.25 * static_cast<double>(rng.below(2));  // 0/0.25
     c.fc.crash_window = c.rounds / 2;
     c.fc.restart = rng.below(2) == 0;
@@ -187,7 +208,7 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
   // Anonymous ports (EngineConfig::anonymous) on a quarter of the
   // send-xor-receive configs; the distance protocols run duplex, where the
   // mode is not meaningful.
-  c.anonymous = c.protocol < 4 && rng.below(4) == 0;
+  c.anonymous = c.protocol < kFirstDuplexProtocol && rng.below(4) == 0;
   // Guaranteed crash-restart coverage: every fourth config exercises
   // mid-run restarts regardless of the random draws above, so the fuzz
   // always sees a node whose state machine is torn down and re-created
@@ -209,8 +230,15 @@ FuzzConfig sampleConfig(std::uint64_t master_seed, int index) {
   }
   // The diam_* schedules are affine in n; give them room to cross their
   // phase boundaries (lazy phase-2 init, top-k selection) mid-fuzz.
-  if (c.protocol >= 4) {
+  if (c.protocol >= kFirstDuplexProtocol) {
     c.rounds = std::max<Round>(c.rounds, 3 * c.n + 8);
+  }
+  // LEADERELECT runs phases 0-2 (every stage boundary A→B→C→D→A, three
+  // times) into phase 3's stage A: long enough that about a third of the
+  // configs elect a leader, so done transitions are compared too.
+  if (c.protocol == kLeaderProtocol) {
+    const proto::LeaderSchedule schedule(leaderConfig(c));
+    c.rounds = std::max<Round>(c.rounds, schedule.phaseStart(3) + 8);
   }
   return c;
 }
@@ -279,7 +307,7 @@ EngineConfig fuzzEngineConfig(const FuzzConfig& c) {
   // connectivity guard is off here (and off identically on every path).
   config.check_connectivity = false;
   // Distance protocols are specified in full-duplex broadcast CONGEST.
-  config.duplex = c.protocol >= 4;
+  config.duplex = c.protocol >= kFirstDuplexProtocol;
   config.anonymous = c.anonymous;
   return config;
 }

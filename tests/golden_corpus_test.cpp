@@ -49,6 +49,7 @@
 #include "protocols/flood.h"
 #include "protocols/gossip.h"
 #include "protocols/hear_from_n.h"
+#include "protocols/leader_unknown_d.h"
 #include "protocols/max_flood.h"
 #include "protocols/oracles.h"
 #include "protocols/resilient_flood.h"
@@ -265,6 +266,21 @@ TEST(GoldenCorpus, GossipOnRandomTree) {
                runCanonical(factory,
                             freshAdversary<adv::RandomTreeAdversary>(14, 8),
                             /*rounds=*/56, /*seed=*/0xA007));
+}
+
+// The paper's §7 unknown-diameter LEADERELECT through three phases: every
+// stage boundary (A→B→C→D→A) is crossed, the phase-2 stage-D exit declares
+// the leader and the following stage A spreads it to every node.
+TEST(GoldenCorpus, LeaderUnknownDOnEdgeChurn) {
+  proto::LeaderConfig config;
+  config.n_estimate = 16;
+  config.k = 4;
+  config.gamma = 1;
+  proto::LeaderElectFactory factory(config, /*master_seed=*/0x1E);
+  expectGolden("leader_unknown_d_edge_churn",
+               runCanonical(factory,
+                            freshAdversary<adv::EdgeChurnAdversary>(16, 2, 7),
+                            /*rounds=*/384, /*seed=*/0xA00D));
 }
 
 TEST(GoldenCorpus, BabblerUnderFaults) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "adversary/static_adversaries.h"
 #include "net/graph.h"
+#include "protocols/max_flood.h"
 #include "sim/engine.h"
 #include "sim/message.h"
 #include "sim/runner.h"
@@ -131,30 +133,15 @@ TEST(Engine, ReceiverWithNoSendingNeighborGetsEmpty) {
   EXPECT_TRUE(v0->deliveries()[0].empty());
 }
 
-/// Process that violates the bit budget.
-class Hog : public Process {
- public:
-  Action onRound(Round, util::CoinStream&) override {
-    Action a;
-    a.send = true;
-    MessageBuilder b;
-    for (int i = 0; i < 4; ++i) {
-      b.put(~std::uint64_t{0}, 60);  // 240 bits >> budget for N=2
-    }
-    a.msg = b.build();
-    return a;
+/// The CheckError text `f` throws ("" when it returns normally).
+template <typename F>
+std::string checkText(F f) {
+  try {
+    f();
+  } catch (const util::CheckError& e) {
+    return e.what();
   }
-  void onDeliver(Round, bool, std::span<const Message>) override {}
-};
-
-TEST(Engine, BudgetViolationAborts) {
-  std::vector<std::unique_ptr<Process>> ps;
-  ps.push_back(std::make_unique<Hog>());
-  ps.push_back(std::make_unique<Hog>());
-  EngineConfig config;
-  Engine engine(std::move(ps), std::make_unique<adv::StaticAdversary>(net::makePath(2)),
-                config, 1);
-  EXPECT_THROW(engine.step(), util::CheckError);
+  return "";
 }
 
 /// Sends a well-formed 240-bit message every round (over the default
@@ -173,6 +160,24 @@ class WideSender : public Process {
   }
   void onDeliver(Round, bool, std::span<const Message>) override {}
 };
+
+// The engine's budget check names the node, round, size and budget.  (The
+// message must be well-formed: a value wider than its field would trip
+// BitWriter's own check inside onRound before the engine sees it.)
+TEST(Engine, BudgetViolationAborts) {
+  std::vector<std::unique_ptr<Process>> ps;
+  ps.push_back(std::make_unique<WideSender>());
+  ps.push_back(std::make_unique<WideSender>());
+  EngineConfig config;
+  Engine engine(std::move(ps), std::make_unique<adv::StaticAdversary>(net::makePath(2)),
+                config, 1);
+  const std::string what = checkText([&] { engine.step(); });
+  EXPECT_NE(what.find("a.msg.bitSize() <= ctx.budget_bits"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find("— node 0 round 1 message of 240 bits exceeds budget 72"),
+            std::string::npos)
+      << what;
+}
 
 TEST(Engine, ExplicitBudgetOverridesDefault) {
   // A 240-bit message violates the default N=2 budget (72 bits) but is
@@ -199,6 +204,26 @@ TEST(Engine, ExplicitBudgetOverridesDefault) {
   Engine strict(std::move(ps2),
                 std::make_unique<adv::StaticAdversary>(net::makePath(2)), tight, 1);
   EXPECT_THROW(strict.step(), util::CheckError);
+}
+
+// accountSentAction tests the budget in one branch and raises from an
+// out-of-line formatter shared by both engine paths; BudgetViolationAborts
+// pins its text on the object path, this test on the SoA path.
+TEST(Engine, OverBudgetMessageOnSoAPath) {
+  // Max-flood sends key (3 bits at n = 4) + value (8 bits) = 11 bits.
+  proto::MaxFloodFactory factory({1, 2, 3, 4}, 8, /*total_rounds=*/20);
+  EngineConfig config;
+  config.msg_budget_bits = 10;
+  Engine engine(factory,
+                std::make_unique<adv::StaticAdversary>(net::makePath(4)),
+                config, 1);
+  ASSERT_TRUE(engine.soaActive());
+  const std::string what = checkText([&] { engine.run(); });
+  EXPECT_NE(what.find("a.msg.bitSize() <= ctx.budget_bits"), std::string::npos)
+      << what;
+  EXPECT_NE(what.find(" message of 11 bits exceeds budget 10"),
+            std::string::npos)
+      << what;
 }
 
 TEST(Engine, ExplicitBudgetAboveCapacityRejected) {

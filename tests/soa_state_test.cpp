@@ -10,7 +10,9 @@
 //     agree on every node's stateDigest / done / output after EVERY round,
 //     across the protocol x adversary grid — a much tighter pin than
 //     end-of-run equality (a transient divergence that happens to
-//     re-converge would still fail here);
+//     re-converge would still fail here).  The grid includes LEADERELECT on
+//     sim::ProcessArrayModel, run across every stage boundary, so the done
+//     byte it refreshes after delivery is compared every round;
 //   * crash masks: the same lockstep under crash + restart fault plans,
 //     so FaultPhase's liveness bookkeeping (including SoAModel::resetNode
 //     on restart) is compared round by round, plus full fault accounting;
@@ -41,16 +43,47 @@
 #include "net/graph.h"
 #include "obs/sink.h"
 #include "protocols/flood.h"
+#include "protocols/consensus_via_leader.h"
 #include "protocols/gossip.h"
+#include "protocols/leader_unknown_d.h"
 #include "protocols/manyworlds.h"
 #include "protocols/max_flood.h"
 #include "sim/batch.h"
 #include "sim/engine.h"
+#include "sim/workspace.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "reference_sim.h"
 
 namespace dynet::sim {
 namespace {
+
+// Protocol kinds: 0 flood-det, 1 flood-rand, 2 max_flood, 3 gossip (column
+// models), 4 leader_unknown_d and 5 consensus_unknown_d (both
+// sim::ProcessArrayModel over LeaderElectProcess).
+constexpr int kProtocolKinds = 6;
+constexpr int kLeaderProtocol = 4;
+
+/// LEADERELECT (and CONSENSUS via it) at lockstep size: N' = n, k = 4,
+/// gamma = 1.
+proto::LeaderConfig leaderConfig(NodeId n) {
+  proto::LeaderConfig config;
+  config.n_estimate = static_cast<double>(n);
+  config.k = 4;
+  config.gamma = 1;
+  return config;
+}
+
+/// Round count for a lockstep run: the LEADERELECT kinds get enough rounds
+/// to cross A→B→C→D→A (phase 0 and into phase 1's stage A); the rest keep
+/// `rounds`.
+Round lockstepRounds(int kind, NodeId n, Round rounds) {
+  if (kind < kLeaderProtocol) {
+    return rounds;
+  }
+  return std::max<Round>(
+      rounds, proto::LeaderSchedule(leaderConfig(n)).phaseStart(1) + 8);
+}
 
 std::unique_ptr<ProcessFactory> makeProtocol(int kind, NodeId n,
                                              Round rounds) {
@@ -69,9 +102,20 @@ std::unique_ptr<ProcessFactory> makeProtocol(int kind, NodeId n,
       return std::make_unique<proto::MaxFloodFactory>(std::move(values), 8,
                                                       rounds);
     }
-    default:
+    case 3:
       return std::make_unique<proto::GossipFactory>(/*total_tokens=*/6,
                                                     rounds);
+    case kLeaderProtocol:
+      return std::make_unique<proto::LeaderElectFactory>(leaderConfig(n),
+                                                         /*master_seed=*/0x1E);
+    default: {
+      std::vector<std::uint64_t> inputs;
+      for (NodeId v = 0; v < n; ++v) {
+        inputs.push_back(static_cast<std::uint64_t>(v % 2));
+      }
+      return std::make_unique<proto::ConsensusViaLeaderFactory>(
+          leaderConfig(n), /*master_seed=*/0x1E, std::move(inputs));
+    }
   }
 }
 
@@ -161,11 +205,12 @@ void runLockstep(const LockstepSpec& s) {
 }
 
 TEST(SoAState, PerRoundDigestLockstepAcrossProtocolsAndAdversaries) {
-  for (int protocol = 0; protocol < 4; ++protocol) {
+  for (int protocol = 0; protocol < kProtocolKinds; ++protocol) {
     for (int adversary = 0; adversary < 3; ++adversary) {
       for (std::uint64_t seed : {0x51ull, 0x52ull}) {
         LockstepSpec s;
         s.protocol = protocol;
+        s.rounds = lockstepRounds(protocol, s.n, s.rounds);
         s.adversary = adversary;
         s.seed = seed;
         runLockstep(s);
@@ -212,6 +257,26 @@ TEST(SoAState, CrashMasksConsistentUnderFaultPlans) {
   s.seed = 0x64;
   s.fc = &crash_only;
   runLockstep(s);
+  if (HasFatalFailure()) {
+    return;
+  }
+  // LEADERELECT under crash/restart and drops: sim::ProcessArrayModel
+  // rebuilds a restarted node from the factory and refreshes its done byte.
+  // Mangled payloads stay off: a corrupted tag reads past its message.
+  faults::FaultConfig leader_faults = crash_only;
+  leader_faults.drop_prob = 0.15;
+  for (int adversary = 0; adversary < 3; ++adversary) {
+    LockstepSpec leader;
+    leader.protocol = kLeaderProtocol;
+    leader.rounds = lockstepRounds(kLeaderProtocol, leader.n, leader.rounds);
+    leader.adversary = adversary;
+    leader.seed = 0x65;
+    leader.fc = &leader_faults;
+    runLockstep(leader);
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
 }
 
 // Satellite pin: FaultPhase skips the per-trial liveness-mask re-init when
@@ -271,11 +336,12 @@ TEST(SoAState, NoLivenessFaultPlansAreByteIdentical) {
 // The strided worker loop (node_threads > 1) must be byte-identical to the
 // serial loop.  CI runs this test under TSan to race-check the stride.
 TEST(SoAState, StridedWorkersMatchSerial) {
-  for (int protocol = 0; protocol < 4; ++protocol) {
+  for (int protocol = 0; protocol < kProtocolKinds; ++protocol) {
     for (const int node_threads : {4, 0}) {
       LockstepSpec s;
       s.n = 48;
       s.protocol = protocol;
+      s.rounds = lockstepRounds(protocol, s.n, s.rounds);
       s.adversary = 2;
       s.seed = 0x81;
       s.node_threads = node_threads;  // object leg stays serial
@@ -285,6 +351,44 @@ TEST(SoAState, StridedWorkersMatchSerial) {
       }
     }
   }
+}
+
+// sim::ProcessArrayModel keeps its objects in the workspace's SoAStore:
+// Engine::process reaches them (a column model has none), and an engine
+// destroyed after a later engine re-bound the same workspace leaves the
+// later engine's objects alone.
+TEST(ProcessArray, ObjectsReachableAndSharedWorkspaceSafe) {
+  const NodeId n = 14;
+  const Round rounds = lockstepRounds(kLeaderProtocol, n, 40);
+  const std::unique_ptr<ProcessFactory> factory =
+      makeProtocol(kLeaderProtocol, n, rounds);
+  EngineConfig cfg;
+  cfg.max_rounds = rounds;
+  cfg.stop_when_all_done = false;
+  cfg.check_connectivity = false;
+  Engine fresh(*factory, makeAdversary(1, n, 0x91), cfg, 0x91);
+  fresh.run();
+
+  EngineWorkspace ws;
+  auto older = std::make_unique<Engine>(*factory, makeAdversary(1, n, 0x92),
+                                        cfg, 0x92, &ws);
+  older->run();
+  Engine later(*factory, makeAdversary(1, n, 0x91), cfg, 0x91, &ws);
+  older.reset();
+  later.run();
+  ASSERT_TRUE(later.soaActive());
+  for (NodeId v = 0; v < n; ++v) {
+    const auto* p =
+        dynamic_cast<const proto::LeaderElectProcess*>(&later.process(v));
+    ASSERT_NE(p, nullptr) << "node " << v;
+    EXPECT_EQ(p->stateDigest(), fresh.stateDigest(v)) << "node " << v;
+    EXPECT_EQ(later.stateDigest(v), fresh.stateDigest(v)) << "node " << v;
+  }
+
+  const std::unique_ptr<ProcessFactory> columns = makeProtocol(2, n, 40);
+  Engine column_engine(*columns, makeAdversary(1, n, 0x93), cfg, 0x93);
+  ASSERT_TRUE(column_engine.soaActive());
+  EXPECT_THROW(column_engine.process(0), util::CheckError);
 }
 
 // ------------------------------------------------------- many-worlds lanes

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -91,24 +92,86 @@ TEST(BitIo, MixedWidthSequence) {
   EXPECT_EQ(reader.get(17), 0x1ffffu);
 }
 
+// BitWriter::put and BitReader::get test their checks in one fused branch
+// and raise from an out-of-line formatter; pin that each check still fires
+// on its own condition, in its own order, with its own CheckError text.
+
+/// The CheckError text `f` throws ("" when it returns normally).
+template <typename F>
+std::string checkText(F f) {
+  try {
+    f();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool contains(const std::string& text, const std::string& part) {
+  return text.find(part) != std::string::npos;
+}
+
+TEST(BitIo, PutWidthOutOfRangeRejected) {
+  std::vector<std::uint64_t> words(4, 0);
+  // Capacity 0: the width check comes first, so a width that would also
+  // exceed the budget still reports the width.
+  BitWriter writer(words, 0);
+  for (const int width : {-1, 65}) {
+    const std::string what = checkText([&] { writer.put(0, width); });
+    EXPECT_TRUE(contains(what, "width >= 0 && width <= 64")) << what;
+    EXPECT_TRUE(contains(what, "— width=" + std::to_string(width))) << what;
+  }
+  EXPECT_EQ(writer.bitsWritten(), 0);
+}
+
 TEST(BitIo, BudgetEnforced) {
   std::vector<std::uint64_t> words(4, 0);
   BitWriter writer(words, 10);
   writer.put(0x3ff, 10);
-  EXPECT_THROW(writer.put(1, 1), CheckError);
+  const std::string what = checkText([&] { writer.put(1, 1); });
+  EXPECT_TRUE(contains(what, "bits_ + width <= capacity_bits_")) << what;
+  EXPECT_TRUE(contains(what, "— bit budget exceeded: 10+1 > 10")) << what;
+  // Width 0 fits any budget and writes nothing.
+  EXPECT_EQ(checkText([&] { writer.put(0, 0); }), "");
+  EXPECT_EQ(writer.bitsWritten(), 10);
 }
 
 TEST(BitIo, ValueWiderThanFieldRejected) {
   std::vector<std::uint64_t> words(4, 0);
   BitWriter writer(words, 64);
-  EXPECT_THROW(writer.put(4, 2), CheckError);
+  const std::string what = checkText([&] { writer.put(4, 2); });
+  EXPECT_TRUE(contains(what, "(value >> width) == 0")) << what;
+  EXPECT_TRUE(contains(what, "— value 4 wider than 2 bits")) << what;
+  // Over budget AND too wide: the budget check comes first.
+  BitWriter tight(words, 1);
+  EXPECT_TRUE(contains(checkText([&] { tight.put(4, 2); }),
+                       "bit budget exceeded: 0+2 > 1"));
+  // The value check exempts width 0 (nothing is written) and width 64
+  // (every value fits).
+  EXPECT_EQ(checkText([&] { writer.put(5, 0); }), "");
+  EXPECT_EQ(checkText([&] { writer.put(~std::uint64_t{0}, 64); }), "");
+  EXPECT_EQ(writer.bitsWritten(), 64);
+}
+
+TEST(BitIo, GetWidthOutOfRangeRejected) {
+  std::vector<std::uint64_t> words(4, 0);
+  BitReader reader(words, 0);
+  for (const int width : {-1, 65}) {
+    const std::string what = checkText([&] { reader.get(width); });
+    EXPECT_TRUE(contains(what, "width >= 0 && width <= 64")) << what;
+    EXPECT_TRUE(contains(what, "— width=" + std::to_string(width))) << what;
+  }
+  EXPECT_EQ(reader.bitsRemaining(), 0);
 }
 
 TEST(BitIo, ReadPastEndRejected) {
   std::vector<std::uint64_t> words(4, 0);
   BitReader reader(words, 8);
   reader.get(8);
-  EXPECT_THROW(reader.get(1), CheckError);
+  const std::string what = checkText([&] { reader.get(1); });
+  EXPECT_TRUE(contains(what, "pos_ + width <= total_bits_")) << what;
+  EXPECT_TRUE(contains(what, "— read past end: 8+1 > 8")) << what;
+  EXPECT_EQ(checkText([&] { reader.get(0); }), "");
 }
 
 TEST(Real16, ZeroRoundtrips) {
